@@ -3,8 +3,13 @@
 A Backbone is a small post-LN transformer encoder (BERT-style) whose
 parameters live in a single name-keyed table. Once frozen it is immutable
 and shareable; task adaptation only ever touches external adapter/head
-parameters. Sequences are processed one at a time (no padding, no masks),
-which keeps every activation a plain 2-D matrix.
+parameters.
+
+The forward pass runs on a packed batch: the sequences' rows are stacked
+into one (sum of lengths x d_model) matrix, so each projection, FFN and
+layer norm is one 2-D op per layer for the whole batch, and attention is one
+`segment_attention` op that keeps every sequence to its own rows. A single
+sequence is a batch of one and runs with no padding and no mask.
 
 Tokenization is a deterministic surrogate for a learned subword vocabulary:
 lowercase, split on whitespace/punctuation, then FNV-1a-64 hash each token
@@ -14,9 +19,11 @@ into the non-reserved id space.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -28,16 +35,15 @@ from .numerics import (
     Rng,
     add,
     add_row,
-    concat_cols,
     cross_entropy,
+    fnv1a64,
     gather_rows,
     gelu,
     layer_norm,
     matmul,
     scale as scale_op,
-    slice_cols,
+    segment_attention,
     softmax,
-    transpose,
 )
 from .serialize import Reader, Writer
 
@@ -54,18 +60,6 @@ CHECKPOINT_MAGIC = b"MTBB"
 CHECKPOINT_VERSION = 1
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; the tokenizer's word-to-id map."""
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
 
 
 @dataclass(frozen=True)
@@ -187,32 +181,34 @@ class Backbone:
 
     # -- forward -------------------------------------------------------------
 
-    def hidden_states(self, tokens: TokenSeq, adapter=None) -> Matrix:
-        """Full final hidden matrix (seq_len x d_model) for one sequence."""
+    def hidden_states(self, batch: Sequence[TokenSeq], adapter=None) -> Matrix:
+        """Final hidden rows of a packed batch: (sum of lengths) x d_model.
+
+        Row blocks follow the batch order; each sequence attends only to its
+        own rows, so its block does not depend on the other sequences.
+        """
         cfg = self.config
-        ids = tokens.ids
-        if len(ids) > cfg.max_seq_len:
-            raise ContractError(f"sequence length {len(ids)} exceeds max_seq_len {cfg.max_seq_len}")
-        for t in ids:
-            if not (0 <= t < cfg.vocab_size):
-                raise ContractError(f"token id {t} out of range [0, {cfg.vocab_size})")
+        if not batch:
+            raise ContractError("empty batch: at least one token sequence is required")
+        lengths = [len(tokens) for tokens in batch]
+        for n in lengths:
+            if n > cfg.max_seq_len:
+                raise ContractError(f"sequence length {n} exceeds max_seq_len {cfg.max_seq_len}")
+        ids = list(itertools.chain.from_iterable(tokens.ids for tokens in batch))
+        if min(ids) < 0 or max(ids) >= cfg.vocab_size:
+            t = next(t for t in ids if not (0 <= t < cfg.vocab_size))
+            raise ContractError(f"token id {t} out of range [0, {cfg.vocab_size})")
+        starts = np.cumsum(lengths) - lengths
+        positions = np.arange(len(ids)) - np.repeat(starts, lengths)
         p = self.params
-        n = len(ids)
-        x = add(gather_rows(p["tok_emb"], list(ids)), gather_rows(p["pos_emb"], list(range(n))))
-        dh = cfg.d_model // cfg.n_heads
-        inv_sqrt_dh = 1.0 / math.sqrt(dh)
+        x = add(gather_rows(p["tok_emb"], ids), gather_rows(p["pos_emb"], positions))
         for i in range(cfg.n_layers):
             pre = f"layer{i}."
             q = self._project(x, p[pre + "wq"], p[pre + "bq"], adapter, i, "q")
             k = add_row(matmul(x, p[pre + "wk"]), p[pre + "bk"])
             v = self._project(x, p[pre + "wv"], p[pre + "bv"], adapter, i, "v")
-            ctx = []
-            for h in range(cfg.n_heads):
-                lo, hi = h * dh, (h + 1) * dh
-                qh, kh, vh = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-                attn = softmax(scale_op(matmul(qh, transpose(kh)), inv_sqrt_dh))
-                ctx.append(matmul(attn, vh))
-            attended = add_row(matmul(concat_cols(ctx), p[pre + "wo"]), p[pre + "bo"])
+            ctx = segment_attention(q, k, v, lengths, cfg.n_heads)
+            attended = add_row(matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
             x = layer_norm(add(x, attended), p[pre + "ln1.gain"], p[pre + "ln1.bias"], LN_EPS)
             ff = add_row(matmul(gelu(add_row(matmul(x, p[pre + "w1"]), p[pre + "b1"])), p[pre + "w2"]), p[pre + "b2"])
             x = layer_norm(add(x, ff), p[pre + "ln2.gain"], p[pre + "ln2.bias"], LN_EPS)
@@ -227,9 +223,16 @@ class Backbone:
                 out = add(out, scale_op(low, adapter.delta_scale()))
         return out
 
-    def encode(self, tokens: TokenSeq, adapter=None) -> Matrix:
-        """CLS-position final hidden vector (1 x d_model)."""
-        return gather_rows(self.hidden_states(tokens, adapter), [0])
+    def encode(self, tokens: TokenSeq | Sequence[TokenSeq], adapter=None) -> Matrix:
+        """CLS-position final hidden rows, one per sequence in order.
+
+        One TokenSeq gives 1 x d_model; a sequence of B of them runs as one
+        packed batch and gives B x d_model.
+        """
+        batch = [tokens] if isinstance(tokens, TokenSeq) else list(tokens)
+        hidden = self.hidden_states(batch, adapter)
+        lengths = [len(t) for t in batch]
+        return gather_rows(hidden, np.cumsum(lengths) - lengths)
 
     def clone(self) -> "Backbone":
         """Unfrozen copy sharing the (immutable) parameter matrices."""
@@ -270,38 +273,37 @@ def mask_positions(tokens: TokenSeq, rng: Rng) -> list[int]:
 def mlm_step(backbone: Backbone, batch: list[TokenSeq], rng: Rng) -> Matrix:
     """Masked-token cross-entropy, averaged over all masked positions.
 
-    Differentiable through every backbone parameter when a tape is active;
-    the optimizer update is the caller's job (see trainer.pretrain_backbone).
+    The masked copies of the batch run as one packed forward. Differentiable
+    through every backbone parameter when a tape is active; the optimizer
+    update is the caller's job (see trainer.pretrain_backbone).
     """
     if backbone.frozen:
         raise FrozenViolationError("cannot run MLM on a frozen backbone")
     if not batch:
         raise ContractError("mlm_step: empty batch")
-    losses = []
-    total_masked = 0
-    head = backbone.params["mlm_head"]
-    vocab = backbone.config.vocab_size
+    masked: list[TokenSeq] = []
+    rows: list[int] = []  # masked positions as rows of the packed batch
+    targets: list[int] = []
+    offset = 0
     for tokens in batch:
         positions = mask_positions(tokens, rng)
         if not positions:
             continue
         masked_ids = list(tokens.ids)
-        targets = []
         for pos in positions:
             targets.append(masked_ids[pos])
             masked_ids[pos] = MASK_ID
-        hidden = backbone.hidden_states(TokenSeq(tuple(masked_ids)))
-        logits = matmul(gather_rows(hidden, positions), head)
-        onehot = np.zeros((len(positions), vocab), dtype=backbone.precision.dtype)
-        onehot[np.arange(len(positions)), targets] = 1.0
-        losses.append(cross_entropy(softmax(logits), Matrix(onehot), reduction="sum"))
-        total_masked += len(positions)
-    if not losses:
+            rows.append(offset + pos)
+        masked.append(TokenSeq(tuple(masked_ids)))
+        offset += len(masked_ids)
+    if not masked:
         raise ContractError("mlm_step: no maskable (non-reserved) positions in batch")
-    total = losses[0]
-    for extra in losses[1:]:
-        total = add(total, extra)
-    return scale_op(total, 1.0 / total_masked)
+    hidden = backbone.hidden_states(masked)
+    logits = matmul(gather_rows(hidden, rows), backbone.params["mlm_head"])
+    onehot = np.zeros((len(rows), backbone.config.vocab_size), dtype=backbone.precision.dtype)
+    onehot[np.arange(len(rows)), targets] = 1.0
+    total = cross_entropy(softmax(logits), Matrix(onehot), reduction="sum")
+    return scale_op(total, 1.0 / len(rows))
 
 
 # -- checkpoint I/O -----------------------------------------------------------

@@ -38,6 +38,7 @@ __all__ = [
     "transpose",
     "gelu",
     "softmax",
+    "segment_attention",
     "layer_norm",
     "gather_rows",
     "slice_cols",
@@ -48,6 +49,7 @@ __all__ = [
     "mean_all",
     "frobenius_norm",
     "cross_entropy",
+    "fnv1a64",
     "splitmix64",
 ]
 
@@ -158,7 +160,8 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _fnv1a64(data: bytes) -> int:
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit hash; keys the RNG sub-streams and the tokenizer's word ids."""
     h = _FNV_OFFSET
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & _MASK64
@@ -187,7 +190,7 @@ class Rng:
         self.gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def split(self, label: str) -> "Rng":
-        return Rng(splitmix64(self.seed ^ _fnv1a64(label.encode("utf-8"))))
+        return Rng(splitmix64(self.seed ^ fnv1a64(label.encode("utf-8"))))
 
     def normal_matrix(self, rows: int, cols: int, std: float = 1.0, precision: Precision = P32) -> Matrix:
         draw = self.gen.normal(0.0, std, size=(rows, cols))
@@ -390,6 +393,99 @@ def softmax(v: Matrix | Sequence[float] | np.ndarray):
         return y * (g - (g * y).sum(axis=1, keepdims=True))
 
     return _record(out, (v,), (vjp,))
+
+
+def segment_attention(q: Matrix, k: Matrix, v: Matrix, lengths: Sequence[int], n_heads: int) -> Matrix:
+    """Multi-head scaled dot-product attention confined to row segments.
+
+    q, k and v are packed (N x d) matrices whose rows are consecutive
+    segments of the given lengths (one per sequence); a row attends only to
+    the rows of its own segment. The columns split into ``n_heads`` equal
+    head blocks, each with softmax(q_h k_h^T / sqrt(d/n_heads)) v_h, and the
+    head outputs sit side by side in the (N x d) result.
+
+    Several segments are padded to the longest one as a (B, H, Lmax, d/H)
+    stack, with the padded keys masked out of every softmax; a single segment
+    runs unpadded on views of the inputs. One tape node: the backward shares
+    the softmax gradient between dQ and dK and computes each of dQ, dK and dV
+    at most once per backward.
+    """
+    _check_same_precision(q, k, "segment_attention")
+    _check_same_precision(q, v, "segment_attention")
+    if not (q.shape == k.shape == v.shape):
+        raise ShapeError(f"segment_attention: q {q.shape}, k {k.shape}, v {v.shape} differ")
+    n, d = q.shape
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"segment_attention: {d} columns do not split into {n_heads} heads")
+    lens = np.asarray(lengths, dtype=np.intp)
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != n:
+        raise ContractError(f"segment_attention: segment lengths must be positive and sum to {n} rows")
+    dh = d // n_heads
+    dtype = q.data.dtype
+    c = np.asarray(1.0 / math.sqrt(dh), dtype=dtype)
+    b, lmax = lens.size, int(lens.max())
+
+    if b == 1:
+        def heads(a: np.ndarray) -> np.ndarray:  # (n, d) -> (1, H, n, dh) view
+            return a.reshape(1, n, n_heads, dh).transpose(0, 2, 1, 3)
+
+        def merge(a: np.ndarray) -> np.ndarray:
+            return a[0].transpose(1, 0, 2).reshape(n, d)
+
+        key_bias = None
+    else:
+        seg = np.repeat(np.arange(b), lens)
+        pos = np.arange(n) - np.repeat(np.cumsum(lens) - lens, lens)
+
+        def heads(a: np.ndarray) -> np.ndarray:  # (n, d) -> zero-padded (b, H, lmax, dh)
+            out = np.zeros((b, n_heads, lmax, dh), dtype=dtype)
+            out[seg, :, pos] = a.reshape(n, n_heads, dh)
+            return out
+
+        def merge(a: np.ndarray) -> np.ndarray:
+            return a[seg, :, pos].reshape(n, d)
+
+        key_bias = np.where(np.arange(lmax) < lens[:, None], 0.0, -np.inf).astype(dtype)[:, None, None, :]
+
+    s = (heads(q.data) @ heads(k.data).transpose(0, 1, 3, 2)) * c
+    if key_bias is not None:
+        s += key_bias
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    del s, e
+    out = Matrix(merge(p @ heads(v.data)))
+
+    # the backward keeps p and re-derives the padded q, k, v and g from the
+    # packed matrices; `shared` holds what dQ and dK have in common for one g
+    shared: dict = {}
+
+    def upstream(g: np.ndarray) -> dict:
+        if shared.get("g") is not g:
+            shared.clear()
+            shared["g"] = g
+            shared["gh"] = heads(g)
+        return shared
+
+    def score_grad(g: np.ndarray) -> np.ndarray:
+        st = upstream(g)
+        if "ds" not in st:
+            dp = st["gh"] @ heads(v.data).transpose(0, 1, 3, 2)
+            st["ds"] = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+        return st["ds"]
+
+    def vjp_q(g: np.ndarray) -> np.ndarray:
+        return merge(score_grad(g) @ heads(k.data))
+
+    def vjp_k(g: np.ndarray) -> np.ndarray:
+        return merge(score_grad(g).transpose(0, 1, 3, 2) @ heads(q.data))
+
+    def vjp_v(g: np.ndarray) -> np.ndarray:
+        # the tape calls vjps in input order, so v's is the last one for this g
+        gv = merge(p.transpose(0, 1, 3, 2) @ upstream(g)["gh"])
+        shared.clear()
+        return gv
+
+    return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v))
 
 
 def layer_norm(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matrix:

@@ -292,7 +292,7 @@ def handle_request_line(registry: Registry, backbone: Backbone, line: str) -> st
         result = score(registry, backbone, req["task"], req["text"])
     except UnknownTaskError:
         return json.dumps({"id": rid, "error": "unknown_task"})
-    except FileFormatError:
+    except (FileFormatError, OSError):  # corrupt, or removed/unreadable after register
         return json.dumps({"id": rid, "error": "load_error"})
     except ScoreMuxError:
         return json.dumps({"id": rid, "error": "internal_error"})
@@ -333,6 +333,8 @@ class TcpTransport:
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
         self._stop = threading.Event()
+        self._served = 0
+        self._served_lock = threading.Lock()
 
     def stop(self) -> None:
         self._stop.set()
@@ -344,7 +346,7 @@ class TcpTransport:
             pass
 
     def run(self, handler) -> int:
-        served = 0
+        """Serve until stopped; returns the number of requests answered."""
         threads = []
         try:
             while not self._stop.is_set():
@@ -359,16 +361,24 @@ class TcpTransport:
             for t in threads:
                 t.join(timeout=5)
             self._sock.close()
-        return served
+        with self._served_lock:
+            return self._served
 
-    @staticmethod
-    def _serve_conn(conn: socket.socket, handler) -> None:
-        with conn, conn.makefile("rw", encoding="utf-8", newline="\n") as stream:
-            for line in stream:
+    def _serve_conn(self, conn: socket.socket, handler) -> None:
+        # separate reader and writer: a write through one "rw" text file
+        # discards the read-ahead, dropping pipelined requests
+        with (
+            conn,
+            conn.makefile("r", encoding="utf-8", newline="\n") as reader,
+            conn.makefile("w", encoding="utf-8", newline="\n") as writer,
+        ):
+            for line in reader:
                 if not line.strip():
                     continue
-                stream.write(handler(line) + "\n")
-                stream.flush()
+                writer.write(handler(line) + "\n")
+                writer.flush()
+                with self._served_lock:
+                    self._served += 1
 
 
 def serve(registry: Registry, backbone: Backbone, transport) -> int:

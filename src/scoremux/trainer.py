@@ -27,7 +27,6 @@ from .numerics import (
     Rng,
     Tape,
     add,
-    concat_rows,
     frobenius_norm,
     matmul,
     scale,
@@ -234,18 +233,17 @@ class EarlyStopper:
 # -- training loops -------------------------------------------------------------
 
 
-def _eval_split(backbone, adapter, head, examples, num_classes) -> tuple[float, float]:
+def _eval_split(backbone, adapter, head, examples, num_classes, batch_size) -> tuple[float, float]:
     """(mean CE, QWK) of the current module on a tokenized split; no tape."""
-    golds, preds = [], []
+    golds = [label for _, label in examples]
+    preds = []
     loss_sum = 0.0
-    for tokens, label in examples:
-        h = backbone.encode(tokens, adapter)
-        z = head_forward(head, h)
-        probs = softmax(z)
-        p_true = max(float(probs.data[0, label]), 1e-12)
-        loss_sum -= math.log(p_true)
-        golds.append(label)
-        preds.append(int(np.argmax(probs.data[0])))
+    for lo in range(0, len(examples), batch_size):
+        chunk = examples[lo : lo + batch_size]
+        probs = softmax(head_forward(head, backbone.encode([t for t, _ in chunk], adapter))).data
+        for row, (_, label) in zip(probs, chunk):
+            loss_sum -= math.log(max(float(row[label]), 1e-12))
+            preds.append(int(np.argmax(row)))
     import warnings as _warnings
 
     with _warnings.catch_warnings():
@@ -315,7 +313,7 @@ def train_task(
             with Tape() as tape:
                 for s in slots:
                     tape.watch(s.get())
-                hiddens = concat_rows([backbone.encode(t, adapter) for t, _ in batch])
+                hiddens = backbone.encode([t for t, _ in batch], adapter)
                 probs = softmax(head_forward(head, hiddens))
                 labels = one_hot([y for _, y in batch], dataset.num_classes, precision)
                 loss = total_loss(cross_entropy(probs, labels, cfg.ce_reduction), adapter, cfg.reg_lambda)
@@ -327,7 +325,9 @@ def train_task(
             grad_norms.append(post_norm)
             epoch_loss += loss.item() * len(batch)
         train_loss = epoch_loss / len(train_examples)
-        val_loss, val_qwk = _eval_split(backbone, adapter, head, val_examples, dataset.num_classes)
+        val_loss, val_qwk = _eval_split(
+            backbone, adapter, head, val_examples, dataset.num_classes, cfg.batch_size
+        )
         epoch_stats.append(EpochStats(train_loss, val_loss, val_qwk))
         if stopper.update(epoch, val_loss):
             best_snapshot = [s.get() for s in slots]

@@ -24,7 +24,7 @@ from .backbone import Backbone, load_backbone, tokenize
 from .data import ScoredResponse, TaskDataset, save_jsonl
 from .errors import BenchError, ContractError
 from .heads import new_head
-from .numerics import Rng, Tape, concat_rows, softmax
+from .numerics import Rng, Tape, softmax
 from .orchestrator import Registry, load_task_module, score
 from .trainer import (
     Adam,
@@ -320,7 +320,7 @@ def train_full_baseline(backbone: Backbone, dataset: TaskDataset, config: TrainC
     """
     from .data import split_dataset
     from .evalkit import qwk as qwk_metric
-    from .heads import head_forward, predict
+    from .heads import head_forward
 
     cfg = config or TrainConfig()
     clone = backbone.clone()
@@ -348,7 +348,7 @@ def train_full_baseline(backbone: Backbone, dataset: TaskDataset, config: TrainC
             with Tape() as tape:
                 for s in slots:
                     tape.watch(s.get())
-                hiddens = concat_rows([clone.encode(t) for t, _ in batch])
+                hiddens = clone.encode([t for t, _ in batch])
                 probs = softmax(head_forward(head, hiddens))
                 labels = one_hot([y for _, y in batch], dataset.num_classes, clone.precision)
                 loss = cross_entropy(probs, labels, cfg.ce_reduction)
@@ -356,11 +356,12 @@ def train_full_baseline(backbone: Backbone, dataset: TaskDataset, config: TrainC
             garrs = [grads[s.get()].data for s in slots]
             garrs, _ = clip_gradients(garrs, cfg.clip_norm)
             adam.step(garrs, warmup_lr(step, cfg.learning_rate, warmup_steps))
-    golds, preds = [], []
-    for it in splits.test:
-        label, _ = predict(head, clone.encode(tokenize(it.text, clone.config)))
-        golds.append(it.score)
-        preds.append(label)
+    golds = [it.score for it in splits.test]
+    preds = []
+    test_tokens = [tokenize(it.text, clone.config) for it in splits.test]
+    for lo in range(0, len(test_tokens), cfg.batch_size):
+        hiddens = clone.encode(test_tokens[lo : lo + cfg.batch_size])
+        preds += np.argmax(head_forward(head, hiddens).data, axis=1).tolist()
     import warnings
 
     with warnings.catch_warnings():

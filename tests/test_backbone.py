@@ -12,6 +12,7 @@ from scoremux.backbone import (
     Backbone,
     BackboneConfig,
     CLS_ID,
+    MASK_ID,
     RESERVED_IDS,
     TokenSeq,
     fnv1a64,
@@ -146,6 +147,40 @@ class TestEncode:
         with pytest.raises(ContractError, match="max_seq_len"):
             bb.encode(TokenSeq((CLS_ID,) + (7,) * CFG.max_seq_len))
 
+    def ragged_batch(self):
+        texts = ("der stoff leitet den strom sehr gut", "", "strom", "a b c d e f g h i j k l m n o p")
+        return [tokenize(t, CFG) for t in texts]
+
+    def test_ragged_batch_rows_match_straight_line_oracle(self):
+        bb = Backbone(CFG, P64)
+        batch = self.ragged_batch()
+        h = bb.encode(batch).data
+        assert h.shape == (len(batch), CFG.d_model)
+        for row, seq in zip(h, batch):
+            np.testing.assert_allclose(row, straight_line_encode(bb, seq.ids), atol=1e-9)
+
+    def test_batch_row_equals_single_encode(self):
+        # a row must not depend on its batch neighbours
+        bb = Backbone(CFG, P64)
+        batch = self.ragged_batch()
+        h = bb.encode(batch).data
+        for i, seq in enumerate(batch):
+            np.testing.assert_allclose(h[i], bb.encode(seq).data[0], rtol=0, atol=1e-12)
+        swapped = bb.encode([batch[2], batch[0]]).data
+        np.testing.assert_allclose(swapped[1], h[0], rtol=0, atol=1e-12)
+
+    def test_batch_errors(self):
+        bb = Backbone(CFG)
+        good = tokenize("gut", CFG)
+        with pytest.raises(ContractError, match="max_seq_len"):
+            bb.encode([good, TokenSeq((CLS_ID,) + (7,) * CFG.max_seq_len)])
+        with pytest.raises(ContractError, match=f"token id {CFG.vocab_size} out of range"):
+            bb.encode([good, TokenSeq((CLS_ID, 5, CFG.vocab_size))])
+        with pytest.raises(ContractError, match="out of range"):
+            bb.encode([TokenSeq((CLS_ID, -1)), good])
+        with pytest.raises(ContractError, match="empty batch"):
+            bb.encode([])
+
     def test_permutation_sensitivity(self):
         bb = Backbone(CFG)
         changed = 0
@@ -208,6 +243,28 @@ class TestMlmStep:
         bb = Backbone(CFG).freeze()
         with pytest.raises(FrozenViolationError):
             mlm_step(bb, self.make_corpus(), Rng(1))
+
+    def test_packed_loss_matches_per_sequence_loss(self):
+        # independent of the packing: mask each sequence with the same draws,
+        # encode it alone and average the masked-token cross-entropy
+        bb = Backbone(CFG, P64)
+        corpus = self.make_corpus(6, words=7) + [tokenize("", CFG)] + self.make_corpus(3, words=15, seed=4)
+        rng = Rng(9)
+        nll, count = 0.0, 0
+        for seq in corpus:
+            positions = mask_positions(seq, rng)
+            if not positions:
+                continue
+            ids = list(seq.ids)
+            for pos in positions:
+                ids[pos] = MASK_ID
+            hidden = bb.hidden_states([TokenSeq(tuple(ids))]).data
+            logits = hidden[positions] @ bb.params["mlm_head"].data
+            logp = logits - logits.max(axis=1, keepdims=True)
+            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            nll -= sum(logp[j, seq.ids[pos]] for j, pos in enumerate(positions))
+            count += len(positions)
+        assert mlm_step(bb, corpus, Rng(9)).item() == pytest.approx(nll / count, abs=1e-9)
 
     def test_loss_near_log_vocab_at_random_init(self):
         bb = Backbone(CFG)

@@ -29,6 +29,7 @@ from scoremux.numerics import (
     matrix,
     mean_all,
     scale,
+    segment_attention,
     slice_cols,
     softmax,
     square,
@@ -335,6 +336,78 @@ class TestPrimitiveGradients:
         gradcheck(f, [rand_matrix(rng, n, c, scl=2.0)])
         g = lambda mats: cross_entropy(softmax(mats[0]), onehot, reduction="sum")
         gradcheck(g, [rand_matrix(rng, n, c, scl=2.0)])
+
+
+def reference_segment_attention(q, k, v, lengths, n_heads):
+    """Plain-numpy oracle: a loop over segments and heads, no padding."""
+    out = np.zeros_like(q)
+    dh = q.shape[1] // n_heads
+    lo = 0
+    for n in lengths:
+        rows = slice(lo, lo + n)
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s = q[rows, cols] @ k[rows, cols].T / math.sqrt(dh)
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            out[rows, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[rows, cols]
+        lo += n
+    return out
+
+
+class TestSegmentAttention:
+    # ragged with a length-1 segment, and the unpadded single-segment case
+    LENGTHS = ([3, 1, 4], [1, 2], [5])
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_gradcheck(self, n_heads, lengths):
+        rng = np.random.default_rng(900 + n_heads + 10 * len(lengths))
+        n, d = sum(lengths), 8
+        u, v = rand_matrix(rng, 1, n), rand_matrix(rng, d, 1)
+        f = lambda m: matmul(matmul(u, segment_attention(m[0], m[1], m[2], lengths, n_heads)), v)
+        gradcheck(f, [rand_matrix(rng, n, d, scl=1.5) for _ in range(3)])
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("lengths", LENGTHS)
+    def test_matches_per_segment_per_head_oracle(self, n_heads, lengths):
+        rng = np.random.default_rng(950 + n_heads)
+        q, k, v = (rand_matrix(rng, sum(lengths), 8, scl=2.0) for _ in range(3))
+        out = segment_attention(q, k, v, lengths, n_heads).data
+        ref = reference_segment_attention(q.data, k.data, v.data, lengths, n_heads)
+        np.testing.assert_allclose(out, ref, atol=1e-12)
+
+    def test_one_tape_node_and_partial_watch(self, rng):
+        q, k, v = (rand_matrix(rng, 6, 4) for _ in range(3))
+        lengths = [2, 4]
+        u = rand_matrix(rng, 4, 1)
+        with Tape() as tape:
+            tape.watch(q, k, v)
+            out = segment_attention(q, k, v, lengths, 2)
+            assert len(tape._nodes) == 1
+            loss = sum_all(matmul(out, u))
+        full = tape.backward(loss)
+        # only q reaches a watched leaf: its gradient is unchanged without dK
+        # and dV, and a second backward on the same tape does not reuse the first
+        with Tape() as tape:
+            tape.watch(q)
+            out = segment_attention(q, k, v, lengths, 2)
+            other = sum_all(matmul(out, rand_matrix(rng, 4, 1)))
+            loss = sum_all(matmul(out, u))
+        tape.backward(other)
+        np.testing.assert_allclose(tape.backward(loss)[q].data, full[q].data, atol=1e-14)
+
+    def test_contract_errors(self, rng):
+        q = rand_matrix(rng, 5, 4)
+        with pytest.raises(ContractError, match="sum to 5"):
+            segment_attention(q, q, q, [2, 2], 2)
+        with pytest.raises(ContractError, match="positive"):
+            segment_attention(q, q, q, [5, 0], 2)
+        with pytest.raises(ShapeError, match="heads"):
+            segment_attention(q, q, q, [5], 3)
+        with pytest.raises(ShapeError, match="differ"):
+            segment_attention(q, rand_matrix(rng, 5, 2), q, [5], 2)
+        with pytest.raises(ContractError, match="mixed precision"):
+            segment_attention(q, q.astype(P32), q, [5], 2)
 
 
 class TestRng:

@@ -352,6 +352,20 @@ class TestServe:
         assert responses[2]["error"] == "unknown_task"
         assert responses[3]["task"] == "T02"
 
+    def test_module_file_removed_after_register_is_load_error(self, module_dir, frozen_bb, tmp_path):
+        path = tmp_path / "gone.mod"
+        path.write_bytes(open(module_dir["T03"], "rb").read())
+        reg = fresh_registry({"T03": str(path), "T01": module_dir["T01"]})
+        path.unlink()
+        lines = [self.make_request(1, "T03"), self.make_request(2, "T01")]
+        stdout = io.StringIO()
+        served = serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout))
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert served == 2
+        assert responses[0] == {"id": 1, "error": "load_error"}
+        assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+        assert reg.loaded_ids() == ["T01"]
+
     def test_empty_registry_rejected(self, frozen_bb):
         with pytest.raises(ContractError):
             serve(Registry(), frozen_bb, StdioTransport(io.StringIO(""), io.StringIO()))
@@ -378,3 +392,23 @@ class TestServe:
             transport.stop()
             server.join(timeout=5)
         assert not server.is_alive()
+
+    def test_tcp_pipelined_requests_all_answered_in_order(self, module_dir, frozen_bb):
+        reg = fresh_registry(module_dir)
+        transport = TcpTransport(port=0)
+        served = []
+        server = threading.Thread(target=lambda: served.append(serve(reg, frozen_bb, transport)), daemon=True)
+        server.start()
+        tasks = [f"T{i % 5:02d}" for i in range(32)]
+        try:
+            with socket.create_connection(("127.0.0.1", transport.port), timeout=5) as conn:
+                conn.sendall("".join(self.make_request(i, t) + "\n" for i, t in enumerate(tasks)).encode())
+                with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+                    docs = [json.loads(reader.readline()) for _ in tasks]
+        finally:
+            transport.stop()
+            server.join(timeout=5)
+        assert not server.is_alive()
+        assert [d["id"] for d in docs] == list(range(32))
+        assert [d["task"] for d in docs] == tasks
+        assert served == [32]
