@@ -7,7 +7,8 @@ The package splits into:
 - ``adapters``: low-rank task adapters (unmerged/merged paths, files)
 - ``heads``: per-task classification heads
 - ``data``: scored-response datasets, 80/10/10 splits, JSONL
-- ``trainer``: Adam + warmup + clipping + early-stopping fine-tuning
+- ``trainer``: one optimizer loop (Adam, warmup, clipping) for fine-tuning with early
+  stopping, MLM pretraining and the full-model baseline
 - ``orchestrator``: task-module files, LRU registry, scoring, serving
 - ``evalkit``: QWK / accuracy / macro-F1, paired t-test, eval reports
 - ``workbench``: synthetic task generator, efficiency benchmark
@@ -22,7 +23,6 @@ from .adapters import (
     TargetKind,
     TargetPatch,
     attach,
-    delta,
     load_adapter,
     merge,
     new_adapter,
@@ -33,8 +33,6 @@ from .backbone import (
     Backbone,
     BackboneConfig,
     TokenSeq,
-    encode,
-    freeze,
     load_backbone,
     mlm_step,
     save_backbone,
@@ -65,11 +63,11 @@ __all__ = [
     # numerics
     "Matrix", "matrix", "Precision", "P32", "P64", "Rng", "Tape",
     # backbone
-    "Backbone", "BackboneConfig", "TokenSeq", "tokenize", "encode", "freeze",
+    "Backbone", "BackboneConfig", "TokenSeq", "tokenize",
     "mlm_step", "save_backbone", "load_backbone",
     # adapters
     "LoraAdapter", "LoraConfig", "TargetKind", "TargetPatch", "AdaptedModel",
-    "new_adapter", "delta", "attach", "merge", "unmerge", "save_adapter", "load_adapter",
+    "new_adapter", "attach", "merge", "unmerge", "save_adapter", "load_adapter",
     # heads
     "ClassificationHead", "new_head", "head_forward", "predict",
     # data

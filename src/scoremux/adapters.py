@@ -33,7 +33,6 @@ INIT_STD = 0.02
 class LoraConfig:
     rank: int = DEFAULT_RANK
     alpha: float = DEFAULT_ALPHA
-    scale_mode: str = "alpha_over_r"
 
 
 class TargetKind(enum.IntEnum):
@@ -137,13 +136,6 @@ def new_adapter(
                 )
             )
     return LoraAdapter(task_id=task_id, rank=r, alpha=float(alpha), targets=patches, scale_mode=scale_mode)
-
-
-def delta(patch: TargetPatch, alpha: float, r: int) -> Matrix:
-    """Scaled low-rank update (alpha/r) * A @ B for one patch."""
-    if patch.a.cols != patch.b.rows:
-        raise ShapeError(f"delta: A is {patch.a.shape}, B is {patch.b.shape}")
-    return Matrix((float(alpha) / r) * (patch.a.data @ patch.b.data))
 
 
 @dataclass(frozen=True)

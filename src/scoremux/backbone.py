@@ -127,32 +127,37 @@ def param_order(config: BackboneConfig) -> list[tuple[str, int, int]]:
     return order
 
 
+def _init_params(config: BackboneConfig, precision: Precision) -> dict[str, Matrix]:
+    rng = Rng(config.seed).split("backbone")
+    params: dict[str, Matrix] = {}
+    for name, rows, cols in param_order(config):
+        if name.endswith(".gain"):
+            m = Matrix(np.ones((rows, cols), dtype=precision.dtype))
+        elif name.startswith(("layer",)) and name.split(".")[-1].startswith("b"):
+            m = Matrix.zeros(rows, cols, precision)
+        else:
+            m = rng.split(name).normal_matrix(rows, cols, std=0.02, precision=precision)
+        params[name] = m
+    return params
+
+
 class Backbone:
     """Transformer encoder with a name-keyed parameter table.
 
-    Weight matrices act by right-multiplication (x @ W). Every parameter is
-    initialized from a label-addressed substream of the config seed, so the
-    initialization is independent of construction order elsewhere.
+    Weight matrices act by right-multiplication (x @ W). Given no table, every
+    parameter is initialized from a label-addressed substream of the config
+    seed, so the initialization is independent of construction order
+    elsewhere; a given table (a checkpoint's, a clone's) is used as is.
     """
 
-    def __init__(self, config: BackboneConfig, precision: Precision = P32):
+    def __init__(
+        self, config: BackboneConfig, precision: Precision = P32, params: dict[str, Matrix] | None = None
+    ):
         self.config = config
         self.precision = precision
         self.frozen = False
         self.frozen_fingerprint: str | None = None
-        rng = Rng(config.seed).split("backbone")
-        self.params: dict[str, Matrix] = {}
-        for name, rows, cols in param_order(config):
-            if name.endswith(".gain"):
-                m = Matrix(np.ones((rows, cols), dtype=precision.dtype))
-            elif name.startswith(("layer",)) and name.split(".")[-1].startswith("b"):
-                m = Matrix.zeros(rows, cols, precision)
-            else:
-                m = rng.split(name).normal_matrix(rows, cols, std=0.02, precision=precision)
-            self.params[name] = m
-
-    def param(self, name: str) -> Matrix:
-        return self.params[name]
+        self.params: dict[str, Matrix] = params if params is not None else _init_params(config, precision)
 
     def set_param(self, name: str, value: Matrix) -> None:
         if self.frozen:
@@ -236,13 +241,7 @@ class Backbone:
 
     def clone(self) -> "Backbone":
         """Unfrozen copy sharing the (immutable) parameter matrices."""
-        c = object.__new__(Backbone)
-        c.config = self.config
-        c.precision = self.precision
-        c.frozen = False
-        c.frozen_fingerprint = None
-        c.params = dict(self.params)
-        return c
+        return Backbone(self.config, self.precision, dict(self.params))
 
     # -- freezing ------------------------------------------------------------
 
@@ -250,14 +249,6 @@ class Backbone:
         self.frozen = True
         self.frozen_fingerprint = self.fingerprint()
         return self
-
-
-def encode(backbone: Backbone, tokens: TokenSeq) -> Matrix:
-    return backbone.encode(tokens)
-
-
-def freeze(backbone: Backbone) -> Backbone:
-    return backbone.freeze()
 
 
 def mask_positions(tokens: TokenSeq, rng: Rng) -> list[int]:
@@ -340,11 +331,12 @@ def load_backbone(path: str) -> Backbone:
         raise ContractError(f"checkpoint precision byte must be 32 or 64, got {bits}")
     precision = P32 if bits == 32 else Precision.P64
     dtype = "<f4" if bits == 32 else "<f8"
-    bb = Backbone(cfg, precision)
-    for name, rows, cols in param_order(cfg):
-        arr = r.array(rows * cols, dtype).reshape(rows, cols).astype(precision.dtype)
-        bb.params[name] = Matrix(arr)
+    params = {
+        name: Matrix(r.array(rows * cols, dtype).reshape(rows, cols).astype(precision.dtype))
+        for name, rows, cols in param_order(cfg)
+    }
     r.finish()
+    bb = Backbone(cfg, precision, params)
     if frozen:
         bb.freeze()
     return bb

@@ -30,7 +30,6 @@ __all__ = [
     "matrix",
     "Rng",
     "Tape",
-    "backward",
     "matmul",
     "add",
     "add_row",
@@ -291,11 +290,6 @@ class Tape:
             else:
                 result[leaf] = Matrix(np.ascontiguousarray(g, dtype=leaf.data.dtype))
         return result
-
-
-def backward(tape: Tape, loss: Matrix) -> dict[Matrix, Matrix]:
-    """Gradients of the recorded scalar loss for every watched leaf."""
-    return tape.backward(loss)
 
 
 def _record(out: Matrix, inputs: tuple, vjps: tuple) -> Matrix:

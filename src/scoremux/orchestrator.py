@@ -209,8 +209,10 @@ class Registry:
                 return
         raise ContractError("no evictable module (all pinned)")
 
-    def _unpin(self, task_id: str) -> None:
+    def _unpin(self, task_id: str, compute_us: int) -> None:
+        """Release one pin taken by `_acquire`, charging the compute time spent under it."""
         with self._cond:
+            self.stats.compute_time_us += compute_us
             count = self._pins.get(task_id, 0) - 1
             if count <= 0:
                 self._pins.pop(task_id, None)
@@ -223,30 +225,21 @@ class Registry:
         return module
 
 
-def register(registry: Registry, task_id: str, module_path: str) -> Registry:
-    registry.register(task_id, module_path)
-    return registry
-
-
-def ensure_loaded(registry: Registry, task_id: str) -> TaskModule:
-    return registry.ensure_loaded(task_id)
-
-
 def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> ScoreResult:
     """Three-step scoring: encode through adapter, then head probabilities."""
     if not backbone.frozen:
         raise ContractError("scoring requires a frozen backbone")
     t_start = time.perf_counter_ns()
     module, hit = registry._acquire(task_id, pin=True)
+    compute_us = 0
     try:
         t_compute = time.perf_counter_ns()
         tokens = tokenize(text, backbone.config)
         h = backbone.encode(tokens, module.adapter)
         label, probs = predict(module.head, h)
-        now = time.perf_counter_ns()
-        registry.stats.compute_time_us += (now - t_compute) // 1000
+        compute_us = (time.perf_counter_ns() - t_compute) // 1000
     finally:
-        registry._unpin(task_id)
+        registry._unpin(task_id, compute_us)
     return ScoreResult(
         task_id=task_id,
         label=label,

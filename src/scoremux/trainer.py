@@ -1,18 +1,23 @@
-"""Fine-tuning of one task module on a frozen backbone.
+"""Training: `fit`, the one optimizer loop, and the trainers that call it.
 
-The recipe: cross-entropy plus a Frobenius penalty on the scaled low-rank
-updates, Adam (0.9/0.999/1e-8), linear learning-rate warmup over the first
-fraction of total steps, per-step global gradient-norm clipping, and early
-stopping on validation loss with parameter restore from the best epoch. The
-same machinery drives MLM pretraining of an unfrozen backbone.
+`fit` holds the recipe: per-epoch shuffles from a label-addressed RNG
+substream, minibatch Adam (0.9/0.999/1e-8), linear learning-rate warmup over
+the first fraction of the planned steps, and per-step global gradient-norm
+clipping. `train_task` fits a LoRA adapter and head on a frozen backbone
+(cross-entropy plus a Frobenius penalty on the scaled low-rank updates, early
+stopping on validation loss, restore of the best epoch); `pretrain_backbone`
+fits an unfrozen backbone on the masked-token loss; and
+`workbench.train_full_baseline` fits a backbone clone and head on
+cross-entropy. `_eval_split` is the one batched scoring pass over a split.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +56,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     reg_lambda: float = 1e-4
     seed: int = 0
-    ce_reduction: str = "mean"
 
     def __post_init__(self):
         for name in ("learning_rate", "batch_size", "max_epochs", "patience", "clip_norm"):
@@ -63,8 +67,6 @@ class TrainConfig:
             raise ContractError("patience cannot exceed max_epochs")
         if self.reg_lambda < 0:
             raise ContractError("reg_lambda must be >= 0")
-        if self.ce_reduction not in ("mean", "sum"):
-            raise ContractError(f"unknown ce_reduction {self.ce_reduction!r}")
 
 
 @dataclass(frozen=True)
@@ -158,15 +160,25 @@ def _attr_slot(name: str, obj, attr: str) -> ParamSlot:
     return ParamSlot(name, lambda: getattr(obj, attr), lambda m: setattr(obj, attr, m))
 
 
+def head_slots(head: ClassificationHead) -> list[ParamSlot]:
+    return [_attr_slot("head.weight", head, "weight"), _attr_slot("head.bias", head, "bias")]
+
+
 def adapter_head_slots(adapter: LoraAdapter, head: ClassificationHead) -> list[ParamSlot]:
     slots = []
     for p in adapter.targets:
         base = f"layer{p.layer_index}.{p.kind.slot}"
         slots.append(_attr_slot(base + ".A", p, "a"))
         slots.append(_attr_slot(base + ".B", p, "b"))
-    slots.append(_attr_slot("head.weight", head, "weight"))
-    slots.append(_attr_slot("head.bias", head, "bias"))
-    return slots
+    return slots + head_slots(head)
+
+
+def backbone_slots(backbone: Backbone, names: list[str]) -> list[ParamSlot]:
+    """One slot per named backbone parameter, in the given order."""
+    return [
+        ParamSlot(name, lambda n=name: backbone.params[n], lambda m, n=name: backbone.set_param(n, m))
+        for name in names
+    ]
 
 
 class Adam:
@@ -230,11 +242,74 @@ class EarlyStopper:
         return self.bad_streak >= self.patience
 
 
-# -- training loops -------------------------------------------------------------
+# -- the optimizer loop -----------------------------------------------------------
 
 
-def _eval_split(backbone, adapter, head, examples, num_classes, batch_size) -> tuple[float, float]:
-    """(mean CE, QWK) of the current module on a tokenized split; no tape."""
+class Step(NamedTuple):
+    lr: float
+    grad_norm: float  # post-clip global norm
+    loss: float
+
+
+def warmup_step_count(n_examples: int, cfg: TrainConfig, epochs: int) -> int:
+    """Warmup length: warmup_fraction of the planned number of optimizer steps."""
+    return math.ceil(cfg.warmup_fraction * math.ceil(n_examples / cfg.batch_size) * epochs)
+
+
+def fit(
+    slots: list[ParamSlot],
+    examples: list,
+    loss_fn: Callable[[list], Matrix],
+    cfg: TrainConfig,
+    rng: Rng,
+    epochs: int,
+    end_epoch: Callable[[int, float], bool] | None = None,
+) -> list[Step]:
+    """Train the slots by minibatch Adam on loss_fn(batch); one Step per optimizer step.
+
+    Each epoch visits the examples in the order drawn from rng.split("epoch<n>"),
+    in batches of cfg.batch_size. Each step records loss_fn on a tape watching
+    every slot, clips the global gradient norm to cfg.clip_norm and updates
+    with the warmup learning rate. After each epoch, end_epoch(epoch, mean
+    train loss) runs with no tape active and stops training by returning True.
+    """
+    adam = Adam(slots)
+    warmup_steps = warmup_step_count(len(examples), cfg, epochs)
+    steps: list[Step] = []
+    for epoch in range(1, epochs + 1):
+        order = rng.split(f"epoch{epoch}").permutation(len(examples))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            batch = [examples[int(i)] for i in order[lo : lo + cfg.batch_size]]
+            lr = warmup_lr(len(steps) + 1, cfg.learning_rate, warmup_steps)
+            with Tape() as tape:
+                for s in slots:
+                    tape.watch(s.get())
+                loss = loss_fn(batch)
+            grads = tape.backward(loss)
+            garrs, norm = clip_gradients([grads[s.get()].data for s in slots], cfg.clip_norm)
+            adam.step(garrs, lr)
+            steps.append(Step(lr, norm, loss.item()))
+            epoch_loss += loss.item() * len(batch)
+        if end_epoch is not None and end_epoch(epoch, epoch_loss / len(examples)):
+            break
+    return steps
+
+
+# -- classifier loss and evaluation ---------------------------------------------
+
+
+def classifier_loss(
+    backbone: Backbone, head: ClassificationHead, batch: list, adapter: LoraAdapter | None = None, reg_lambda: float = 0.0
+) -> Matrix:
+    """Mean cross-entropy of the head on a (tokens, label) batch, plus the adapter penalty if any."""
+    probs = softmax(head_forward(head, backbone.encode([t for t, _ in batch], adapter)))
+    ce = cross_entropy(probs, one_hot([y for _, y in batch], head.num_classes, backbone.precision))
+    return ce if adapter is None else total_loss(ce, adapter, reg_lambda)
+
+
+def _eval_split(backbone, adapter, head, examples, batch_size) -> tuple[float, float]:
+    """(mean CE, QWK) of a classifier on a tokenized split, in batches; no tape."""
     golds = [label for _, label in examples]
     preds = []
     loss_sum = 0.0
@@ -244,12 +319,13 @@ def _eval_split(backbone, adapter, head, examples, num_classes, batch_size) -> t
         for row, (_, label) in zip(probs, chunk):
             loss_sum -= math.log(max(float(row[label]), 1e-12))
             preds.append(int(np.argmax(row)))
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", RuntimeWarning)
-        agreement = qwk(golds, preds, num_classes) if len(golds) else 0.0
+    with warnings.catch_warnings():  # a constant prediction makes QWK 0/0
+        warnings.simplefilter("ignore", RuntimeWarning)
+        agreement = qwk(golds, preds, head.num_classes) if len(golds) else 0.0
     return loss_sum / max(1, len(examples)), agreement
+
+
+# -- trainers ----------------------------------------------------------------------
 
 
 def train_task(
@@ -272,14 +348,9 @@ def train_task(
     t_begin = time.perf_counter()
     bcfg = backbone.config
     rng = Rng(cfg.seed)
-    precision = backbone.precision
-    adapter = new_adapter(
-        dataset.task_id, bcfg, lcfg.rank, lcfg.alpha, rng=rng,
-        precision=precision, scale_mode=lcfg.scale_mode,
-    )
-    head = new_head(dataset.task_id, dataset.num_classes, bcfg.d_model, rng, precision)
+    adapter = new_adapter(dataset.task_id, bcfg, lcfg.rank, lcfg.alpha, rng=rng, precision=backbone.precision)
+    head = new_head(dataset.task_id, dataset.num_classes, bcfg.d_model, rng, backbone.precision)
     slots = adapter_head_slots(adapter, head)
-    adam = Adam(slots)
     stopper = EarlyStopper(cfg.patience)
 
     token_cache: dict[str, TokenSeq] = {}
@@ -293,48 +364,21 @@ def train_task(
     train_examples = [(toks(it.text), it.score) for it in splits.train]
     val_examples = [(toks(it.text), it.score) for it in splits.val]
 
-    steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
-    warmup_steps = math.ceil(cfg.warmup_fraction * steps_per_epoch * cfg.max_epochs)
-
-    lr_schedule: list[float] = []
-    grad_norms: list[float] = []
     epoch_stats: list[EpochStats] = []
     best_snapshot = [s.get() for s in slots]
-    step = 0
-    stopped_epoch = cfg.max_epochs
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.split(f"epoch{epoch}").permutation(len(train_examples))
-        epoch_loss = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_examples[int(i)] for i in order[lo : lo + cfg.batch_size]]
-            step += 1
-            lr_t = warmup_lr(step, cfg.learning_rate, warmup_steps)
-            with Tape() as tape:
-                for s in slots:
-                    tape.watch(s.get())
-                hiddens = backbone.encode([t for t, _ in batch], adapter)
-                probs = softmax(head_forward(head, hiddens))
-                labels = one_hot([y for _, y in batch], dataset.num_classes, precision)
-                loss = total_loss(cross_entropy(probs, labels, cfg.ce_reduction), adapter, cfg.reg_lambda)
-            grads = tape.backward(loss)
-            garrs = [grads[s.get()].data for s in slots]
-            garrs, post_norm = clip_gradients(garrs, cfg.clip_norm)
-            adam.step(garrs, lr_t)
-            lr_schedule.append(lr_t)
-            grad_norms.append(post_norm)
-            epoch_loss += loss.item() * len(batch)
-        train_loss = epoch_loss / len(train_examples)
-        val_loss, val_qwk = _eval_split(
-            backbone, adapter, head, val_examples, dataset.num_classes, cfg.batch_size
-        )
+    def end_epoch(epoch: int, train_loss: float) -> bool:
+        val_loss, val_qwk = _eval_split(backbone, adapter, head, val_examples, cfg.batch_size)
         epoch_stats.append(EpochStats(train_loss, val_loss, val_qwk))
         if stopper.update(epoch, val_loss):
-            best_snapshot = [s.get() for s in slots]
-        if stopper.should_stop:
-            stopped_epoch = epoch
-            break
+            best_snapshot[:] = [s.get() for s in slots]
+        return stopper.should_stop
 
+    steps = fit(
+        slots, train_examples,
+        lambda batch: classifier_loss(backbone, head, batch, adapter, cfg.reg_lambda),
+        cfg, rng, cfg.max_epochs, end_epoch,
+    )
     for s, saved in zip(slots, best_snapshot):
         s.set(saved)
 
@@ -357,12 +401,12 @@ def train_task(
     report = TrainReport(
         task_id=dataset.task_id,
         epochs=epoch_stats,
-        stopped_epoch=stopped_epoch,
+        stopped_epoch=len(epoch_stats),
         best_epoch=stopper.best_epoch,
         final_delta_norms=final_norms,
-        lr_schedule=lr_schedule,
-        grad_norms=grad_norms,
-        warmup_steps=warmup_steps,
+        lr_schedule=[s.lr for s in steps],
+        grad_norms=[s.grad_norm for s in steps],
+        warmup_steps=warmup_step_count(len(train_examples), cfg, cfg.max_epochs),
         train_seconds=time.perf_counter() - t_begin,
     )
     return module, report
@@ -374,10 +418,10 @@ def pretrain_backbone(
     config: TrainConfig | None = None,
     epochs: int = 1,
 ) -> list[float]:
-    """MLM pretraining loop over the corpus; returns the per-step loss trace.
+    """MLM pretraining of every backbone parameter; returns the per-step loss trace.
 
-    Mirrors the fine-tuning optimizer settings (same config type); the caller
-    decides when to freeze.
+    Runs the fine-tuning optimizer loop (same config type); the caller decides
+    when to freeze.
     """
     cfg = config or TrainConfig()
     if backbone.frozen:
@@ -385,28 +429,6 @@ def pretrain_backbone(
     if not sequences:
         raise ContractError("empty pretraining corpus")
     rng = Rng(cfg.seed).split("pretrain")
-    names = [name for name, _, _ in param_order(backbone.config)]
-    slots = [
-        ParamSlot(name, lambda n=name: backbone.params[n], lambda m, n=name: backbone.set_param(n, m))
-        for name in names
-    ]
-    adam = Adam(slots)
-    steps_per_epoch = math.ceil(len(sequences) / cfg.batch_size)
-    warmup_steps = math.ceil(cfg.warmup_fraction * steps_per_epoch * epochs)
-    losses: list[float] = []
-    step = 0
-    for epoch in range(1, epochs + 1):
-        order = rng.split(f"epoch{epoch}").permutation(len(sequences))
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [sequences[int(i)] for i in order[lo : lo + cfg.batch_size]]
-            step += 1
-            with Tape() as tape:
-                for s in slots:
-                    tape.watch(s.get())
-                loss = mlm_step(backbone, batch, rng)
-            grads = tape.backward(loss)
-            garrs = [grads[s.get()].data for s in slots]
-            garrs, _ = clip_gradients(garrs, cfg.clip_norm)
-            adam.step(garrs, warmup_lr(step, cfg.learning_rate, warmup_steps))
-            losses.append(loss.item())
-    return losses
+    slots = backbone_slots(backbone, [name for name, _, _ in param_order(backbone.config)])
+    steps = fit(slots, sequences, lambda batch: mlm_step(backbone, batch, rng), cfg, rng, epochs)
+    return [s.loss for s in steps]

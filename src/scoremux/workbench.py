@@ -21,20 +21,13 @@ import numpy as np
 
 from .adapters import attach
 from .backbone import Backbone, load_backbone, tokenize
-from .data import ScoredResponse, TaskDataset, save_jsonl
+from .data import ScoredResponse, TaskDataset, save_jsonl, split_dataset
 from .errors import BenchError, ContractError
+from .evalkit import paired_t_test
 from .heads import new_head
-from .numerics import Rng, Tape, softmax
+from .numerics import Rng
 from .orchestrator import Registry, load_task_module, score
-from .trainer import (
-    Adam,
-    ParamSlot,
-    TrainConfig,
-    clip_gradients,
-    cross_entropy,
-    one_hot,
-    warmup_lr,
-)
+from .trainer import TrainConfig, _eval_split, backbone_slots, classifier_loss, fit, head_slots
 
 MEAN_RESPONSE_WORDS = 20
 MIN_RESPONSE_WORDS = 3
@@ -316,57 +309,25 @@ def train_full_baseline(backbone: Backbone, dataset: TaskDataset, config: TrainC
     """Fine-tune an unfrozen backbone clone + head on one task; returns (head, test_qwk).
 
     The per-task fully fine-tuned reference the efficiency comparison simulates
-    by artifact size; this trains a real one at desk scale.
+    by artifact size; this trains a real one at desk scale, with the same
+    optimizer loop and cross-entropy as the task modules, minus the adapter.
     """
-    from .data import split_dataset
-    from .evalkit import qwk as qwk_metric
-    from .heads import head_forward
-
     cfg = config or TrainConfig()
     clone = backbone.clone()
     if dataset.splits is None:
         split_dataset(dataset, cfg.seed)
     splits = dataset.splits
     head = new_head(dataset.task_id, dataset.num_classes, clone.config.d_model, Rng(cfg.seed), clone.precision)
-    names = sorted(clone.params)
-    slots = [
-        ParamSlot(n, lambda n=n: clone.params[n], lambda m, n=n: clone.set_param(n, m)) for n in names
-    ]
-    slots.append(ParamSlot("head.weight", lambda: head.weight, lambda m: setattr(head, "weight", m)))
-    slots.append(ParamSlot("head.bias", lambda: head.bias, lambda m: setattr(head, "bias", m)))
-    adam = Adam(slots)
-    rng = Rng(cfg.seed).split("baseline")
-    examples = [(tokenize(it.text, clone.config), it.score) for it in splits.train]
-    steps_per_epoch = math.ceil(len(examples) / cfg.batch_size)
-    warmup_steps = math.ceil(cfg.warmup_fraction * steps_per_epoch * cfg.max_epochs)
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.split(f"epoch{epoch}").permutation(len(examples))
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [examples[int(i)] for i in order[lo : lo + cfg.batch_size]]
-            step += 1
-            with Tape() as tape:
-                for s in slots:
-                    tape.watch(s.get())
-                hiddens = clone.encode([t for t, _ in batch])
-                probs = softmax(head_forward(head, hiddens))
-                labels = one_hot([y for _, y in batch], dataset.num_classes, clone.precision)
-                loss = cross_entropy(probs, labels, cfg.ce_reduction)
-            grads = tape.backward(loss)
-            garrs = [grads[s.get()].data for s in slots]
-            garrs, _ = clip_gradients(garrs, cfg.clip_norm)
-            adam.step(garrs, warmup_lr(step, cfg.learning_rate, warmup_steps))
-    golds = [it.score for it in splits.test]
-    preds = []
-    test_tokens = [tokenize(it.text, clone.config) for it in splits.test]
-    for lo in range(0, len(test_tokens), cfg.batch_size):
-        hiddens = clone.encode(test_tokens[lo : lo + cfg.batch_size])
-        preds += np.argmax(head_forward(head, hiddens).data, axis=1).tolist()
-    import warnings
+    slots = backbone_slots(clone, sorted(clone.params)) + head_slots(head)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        agreement = qwk_metric(golds, preds, dataset.num_classes)
+    def examples(items):
+        return [(tokenize(it.text, clone.config), it.score) for it in items]
+
+    fit(
+        slots, examples(splits.train), lambda batch: classifier_loss(clone, head, batch),
+        cfg, Rng(cfg.seed).split("baseline"), cfg.max_epochs,
+    )
+    _, agreement = _eval_split(clone, None, head, examples(splits.test), cfg.batch_size)
     return head, agreement
 
 
@@ -382,12 +343,6 @@ def accuracy_gap_comparison(
     Trains one real fully fine-tuned baseline per task (first n_tasks), then
     pairs the two per-task QWK vectors with a t-test when n_tasks >= 2.
     """
-    import warnings
-
-    from .data import split_dataset
-    from .evalkit import paired_t_test, qwk as qwk_metric
-    from .heads import predict
-
     cfg = config or TrainConfig()
     tasks = sorted(module_paths)[:n_tasks]
     framework_qwk = []
@@ -397,15 +352,9 @@ def accuracy_gap_comparison(
         if ds.splits is None:
             split_dataset(ds, cfg.seed)
         module = load_task_module(module_paths[tid])
-        model = attach(backbone, module.adapter)
-        golds, preds = [], []
-        for it in ds.splits.test:
-            label, _ = predict(module.head, model.encode(tokenize(it.text, backbone.config)))
-            golds.append(it.score)
-            preds.append(label)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            framework_qwk.append(qwk_metric(golds, preds, ds.num_classes))
+        attach(backbone, module.adapter)  # frozen backbone, matching dimensions
+        test = [(tokenize(it.text, backbone.config), it.score) for it in ds.splits.test]
+        framework_qwk.append(_eval_split(backbone, module.adapter, module.head, test, cfg.batch_size)[1])
         _, bl = train_full_baseline(backbone, ds, cfg)
         baseline_qwk.append(bl)
     result = {"tasks": tasks, "framework_qwk": framework_qwk, "baseline_qwk": baseline_qwk}

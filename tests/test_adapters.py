@@ -11,7 +11,6 @@ from scoremux.adapters import (
     TargetPatch,
     adapter_to_bytes,
     attach,
-    delta,
     load_adapter,
     merge,
     new_adapter,
@@ -43,7 +42,7 @@ class TestNewAdapter:
     def test_fresh_adapter_deltas_are_zero(self):
         ad = new_adapter("T01", CFG, rng=Rng(1))
         for p in ad.targets:
-            assert np.all(delta(p, ad.alpha, ad.rank).data == 0.0)
+            assert np.all(ad.delta_matrix(p) == 0.0)
 
     def test_default_config_yields_four_patches(self):
         ad = new_adapter("T01", CFG, rng=Rng(1))
@@ -70,18 +69,22 @@ class TestNewAdapter:
             np.testing.assert_array_equal(p1.a.data, p2.a.data)
 
 
+def scaled_delta(p: TargetPatch, alpha: float, r: int) -> np.ndarray:
+    return LoraAdapter("T", r, alpha, [p]).delta_matrix(p)
+
+
 class TestDelta:
     def test_zero_b(self):
         p = TargetPatch(0, TargetKind.QUERY_PROJ, matrix([[1.0], [2.0]]), Matrix.zeros(1, 2))
-        assert np.all(delta(p, 16, 1).data == 0.0)
+        assert np.all(scaled_delta(p, 16, 1) == 0.0)
 
     def test_rank_one_hand_product(self):
         p = TargetPatch(0, TargetKind.QUERY_PROJ, matrix([[1.0], [0.0]]), matrix([[0.0, 2.0]]))
-        assert delta(p, 1, 1).tolist() == [[0.0, 2.0], [0.0, 0.0]]
+        assert scaled_delta(p, 1, 1).tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_identity_product_scaled_by_alpha_over_r(self):
         p = TargetPatch(0, TargetKind.VALUE_PROJ, Matrix.identity(2), Matrix.identity(2))
-        np.testing.assert_array_equal(delta(p, 16, 2).data, 8.0 * np.eye(2, dtype=np.float32))
+        np.testing.assert_array_equal(scaled_delta(p, 16, 2), 8.0 * np.eye(2, dtype=np.float32))
 
     def test_literal_scale_mode_drops_alpha(self):
         ad = new_adapter("T01", CFG, rng=Rng(3), scale_mode="literal")

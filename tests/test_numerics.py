@@ -185,15 +185,6 @@ class TestTape:
         grads = tape.backward(loss)
         np.testing.assert_allclose(grads[m].data, 2.0 * m.data, atol=1e-12)
 
-    def test_backward_free_function_alias(self):
-        from scoremux.numerics import backward
-
-        m = matrix([[1.0, 2.0], [3.0, 4.0]], P64)
-        with Tape() as tape:
-            tape.watch(m)
-            loss = square(frobenius_norm(m))
-        np.testing.assert_allclose(backward(tape, loss)[m].data, 2.0 * m.data, atol=1e-12)
-
     def test_disconnected_leaf_gets_zero_gradient(self, rng):
         used = rand_matrix(rng, 2, 2)
         unused = rand_matrix(rng, 3, 3)

@@ -27,6 +27,7 @@ from scoremux.numerics import Rng
 from scoremux.orchestrator import (
     ModuleMetadata,
     Registry,
+    RegistryStats,
     StdioTransport,
     TaskModule,
     TcpTransport,
@@ -285,6 +286,21 @@ class TestScore:
         assert len(results) == 60
         assert reg.stats.hits + reg.stats.misses == 60
         assert len(reg.loaded_ids()) <= 2
+
+    def test_stats_written_only_under_registry_lock(self, module_dir, frozen_bb):
+        reg = fresh_registry(module_dir, capacity=2)
+
+        class LockedStats(RegistryStats):
+            def __setattr__(self, name, value):
+                assert reg._cond._is_owned(), f"stats.{name} written without the registry lock"
+                super().__setattr__(name, value)
+
+        with reg._cond:
+            reg.stats = LockedStats()
+        score(reg, frozen_bb, "T00", "ein text")  # miss: load + compute
+        score(reg, frozen_bb, "T00", "ein text")  # hit: compute
+        assert (reg.stats.misses, reg.stats.hits) == (1, 1)
+        assert reg.stats.compute_time_us >= 0
 
 
 class TestManifestFile:

@@ -19,6 +19,7 @@ from scoremux.trainer import (
     EarlyStopper,
     ParamSlot,
     TrainConfig,
+    _eval_split,
     adapter_head_slots,
     clip_gradients,
     cross_entropy,
@@ -28,6 +29,7 @@ from scoremux.trainer import (
     train_task,
     warmup_lr,
 )
+from scoremux.workbench import TaskSpec, generate_task
 
 from conftest import assert_grad_close, fd_grad
 
@@ -308,6 +310,18 @@ class TestTrainTask:
         )
         assert module_to_bytes(m1) == module_to_bytes(m2)
 
+    def test_early_stop_restores_best_epoch(self, frozen):
+        ds = generate_task(TaskSpec("T00", 3, 200, seed=3))
+        cfg = TrainConfig(learning_rate=1e-2, max_epochs=4, patience=1, seed=3)
+        module, report = train_task(frozen, ds, cfg)
+        assert report.stopped_epoch < cfg.max_epochs
+        assert len(report.epochs) == report.stopped_epoch
+        assert report.best_epoch < report.stopped_epoch
+        assert len(report.lr_schedule) == report.stopped_epoch * math.ceil(len(ds.splits.train) / cfg.batch_size)
+        val = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.val]
+        val_loss, _ = _eval_split(frozen, module.adapter, module.head, val, cfg.batch_size)
+        assert val_loss == report.epochs[report.best_epoch - 1].val_loss
+
     def test_report_text_has_documented_keys(self, frozen):
         _, report = train_task(frozen, make_dataset(n=80), TrainConfig(max_epochs=2, seed=3))
         text = report.to_text()
@@ -336,6 +350,18 @@ class TestPretrain:
         losses = pretrain_backbone(bb, corpus, TrainConfig(learning_rate=1e-3, batch_size=8, seed=2), epochs=3)
         assert all(math.isfinite(x) for x in losses)
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+    def test_deterministic_given_seed(self, tmp_path):
+        corpus = [tokenize(f"a{i} b{i % 7} c{i % 3} d", BackboneConfig()) for i in range(20)]
+        runs = []
+        for k in range(2):
+            bb = Backbone(BackboneConfig(seed=4))
+            losses = pretrain_backbone(bb, corpus, TrainConfig(learning_rate=1e-3, batch_size=8, seed=5), epochs=2)
+            path = tmp_path / f"bb{k}.bin"
+            save_backbone(bb, str(path))
+            runs.append((losses, path.read_bytes()))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
 
     def test_frozen_rejected(self):
         bb = Backbone(BackboneConfig()).freeze()
