@@ -4,9 +4,8 @@ An adapter patches the attention query and value projections of every
 backbone layer with a rank-r update. The unmerged serving path computes
 x @ W + s * (x @ A) @ B per patched weight, so the frozen backbone is never
 touched; merge() bakes s * A @ B into a cloned weight table for callers who
-want the single-matmul path. s = alpha / r by default ("alpha_over_r");
-scale_mode="literal" applies the raw A @ B update instead. The adapter file
-always stores (r, alpha) and loads in the default mode.
+want the single-matmul path. The scale is s = alpha / r, and the adapter
+file stores (r, alpha).
 """
 
 from __future__ import annotations
@@ -74,19 +73,16 @@ class LoraAdapter:
     rank: int
     alpha: float
     targets: list[TargetPatch]
-    scale_mode: str = "alpha_over_r"
     _by_slot: dict[tuple[int, str], TargetPatch] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.scale_mode not in ("alpha_over_r", "literal"):
-            raise ContractError(f"unknown scale_mode {self.scale_mode!r}")
         for p in self.targets:
             if p.a.cols != self.rank or p.b.rows != self.rank:
                 raise RankError(f"patch rank {p.a.cols}x{p.b.rows} disagrees with adapter rank {self.rank}")
         self._by_slot = {(p.layer_index, p.kind.slot): p for p in self.targets}
 
     def delta_scale(self) -> float:
-        return self.alpha / self.rank if self.scale_mode == "alpha_over_r" else 1.0
+        return self.alpha / self.rank
 
     def patch_for(self, layer_index: int, slot: str) -> TargetPatch | None:
         return self._by_slot.get((layer_index, slot))
@@ -111,7 +107,6 @@ def new_adapter(
     alpha: float = DEFAULT_ALPHA,
     rng: Rng | None = None,
     precision: Precision = P32,
-    scale_mode: str = "alpha_over_r",
 ) -> LoraAdapter:
     """Fresh adapter: A ~ N(0, 0.02), B = 0, one patch per (layer, Q/V).
 
@@ -135,7 +130,7 @@ def new_adapter(
                     b=Matrix.zeros(r, d, precision),
                 )
             )
-    return LoraAdapter(task_id=task_id, rank=r, alpha=float(alpha), targets=patches, scale_mode=scale_mode)
+    return LoraAdapter(task_id=task_id, rank=r, alpha=float(alpha), targets=patches)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=int, default=4)
     p.add_argument("--switches", type=int, default=110)
     p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument(
         "--accuracy-baselines", type=int, default=0, metavar="N",
         help="also train N real full-model baselines and report the QWK gap (needs --data)",
@@ -219,7 +218,6 @@ def cmd_bench(args) -> int:
         workload=workload,
         capacity=args.capacity,
         switches=args.switches,
-        threads=args.threads,
     )
     if args.accuracy_baselines > 0:
         if not args.data:

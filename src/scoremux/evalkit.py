@@ -1,9 +1,10 @@
 """Agreement metrics (QWK, accuracy, macro-F1), paired t-test, eval reports.
 
-Everything here is a pure function of label lists; the only I/O is the JSON
-eval-report document. The t-distribution tail is evaluated internally via the
-regularized incomplete beta (continued fraction), keeping the package free of
-statistics dependencies and byte-reproducible.
+The metrics are pure functions of label lists; the only I/O is the JSON
+eval-report document. The paired t-test's two-sided p-value comes from SciPy's
+Student t CDF (`scipy.special.stdtr`). `evaluate` scores a test split through
+the registry's module with the batched `orchestrator.score_tokens` pass, the
+same head probabilities that serving reports.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import stdtr
 
+from .backbone import tokenize
 from .errors import ContractError
+from .orchestrator import score_tokens
 
-_TINY = 1e-300
+EVAL_BATCH_SIZE = 32
 
 
 def _validate_labels(golds: Sequence[int], preds: Sequence[int], num_classes: int) -> None:
@@ -87,62 +91,9 @@ def macro_f1(golds: Sequence[int], preds: Sequence[int], num_classes: int) -> fl
 # -- paired t-test -------------------------------------------------------------
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, 200):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
     """Two-sided tail probability of Student's t with df degrees of freedom."""
-    if math.isinf(t):
-        return 0.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    return float(2.0 * stdtr(df, -abs(t)))
 
 
 def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
@@ -193,19 +144,16 @@ class EvalReport:
 
 
 def evaluate(registry, backbone, task_id: str, test_split) -> EvalReport:
-    """Score every test item through the registry and assemble all metrics."""
-    from .orchestrator import score  # local import: orchestrator owns scoring
-
+    """Score the test split in batches with the registry's module and assemble all metrics."""
     if not test_split:
         raise ContractError("empty test split")
-    golds = []
-    preds = []
-    num_classes = 0
-    for item in test_split:
-        result = score(registry, backbone, task_id, item.text)
-        golds.append(item.score)
-        preds.append(result.label)
-        num_classes = len(result.probs)
+    if not backbone.frozen:
+        raise ContractError("scoring requires a frozen backbone")
+    module = registry.ensure_loaded(task_id)
+    tokens = [tokenize(item.text, backbone.config) for item in test_split]
+    preds = score_tokens(backbone, module.adapter, module.head, tokens, EVAL_BATCH_SIZE).argmax(axis=1)
+    golds = [item.score for item in test_split]
+    num_classes = module.head.num_classes
     m = confusion_matrix(golds, preds, num_classes)
     return EvalReport(
         task_id=task_id,

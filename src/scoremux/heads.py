@@ -1,4 +1,10 @@
-"""Per-task classification head: logits = h @ W^T + b, probabilities by softmax."""
+"""Per-task classification head: logits = h @ W^T + b, probabilities by softmax.
+
+`head_forward` is the differentiable logits op that training records on the
+tape. `class_probs` is the one function that turns hidden rows into the class
+probabilities the program reports: served answers (`predict`, its one-row
+case), validation, `evaluate` and the baseline comparison all read it.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import Matrix, P32, Precision, Rng, add_row, matmul, softmax, transpose
+from .numerics import Matrix, P32, Precision, Rng, add_row, matmul, transpose
 
 MIN_CLASSES = 2
 MAX_CLASSES = 6
@@ -68,6 +74,19 @@ def head_forward(head: ClassificationHead, h: Matrix) -> Matrix:
     return add_row(matmul(h, transpose(head.weight)), head.bias)
 
 
+def class_probs(head: ClassificationHead, h: Matrix) -> np.ndarray:
+    """B x C float64 class probabilities for a batch of hiddens (rows); not differentiable.
+
+    The float32 logits are widened to float64 before the max-subtracted
+    softmax. Non-finite logits (a corrupt module) raise ContractError.
+    """
+    z = head_forward(head, h).data.astype(np.float64)
+    if not np.isfinite(z).all():
+        raise ContractError("class_probs: non-finite logits")
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def predict(head: ClassificationHead, h: Matrix) -> tuple[int, np.ndarray]:
     """(argmax label, probabilities) for a single hidden vector.
 
@@ -75,6 +94,5 @@ def predict(head: ClassificationHead, h: Matrix) -> tuple[int, np.ndarray]:
     """
     if h.rows != 1:
         raise ShapeError(f"predict expects a single 1 x d hidden, got {h.shape}")
-    z = head_forward(head, h)
-    probs = softmax(z.data[0].astype(np.float64))
+    probs = class_probs(head, h)[0]
     return int(np.argmax(probs)), probs

@@ -360,24 +360,8 @@ def gelu(a: Matrix) -> Matrix:
     return _record(out, (a,), (vjp,))
 
 
-def softmax(v: Matrix | Sequence[float] | np.ndarray):
-    """Row-wise softmax with max-subtraction for stability.
-
-    Accepts a Matrix (each row becomes a probability distribution; recorded
-    on the tape) or a plain 1-D sequence (returns a 1-D numpy array, not
-    recorded).
-    """
-    if not isinstance(v, Matrix):
-        arr = np.asarray(v, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ContractError(f"softmax on raw input expects a 1-D vector, got ndim={arr.ndim}")
-        if arr.size == 0:
-            raise ContractError("softmax: empty input")
-        if not np.isfinite(arr).all():
-            raise ContractError("softmax: input must be finite")
-        e = np.exp(arr - arr.max())
-        return e / e.sum()
-
+def softmax(v: Matrix) -> Matrix:
+    """Row-wise softmax with max-subtraction for stability; recorded on the tape."""
     x = v.data
     e = np.exp(x - x.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)

@@ -3,8 +3,10 @@
 A TaskModule is the deployable unit for one task: adapter + head in a single
 file, loaded on demand. The Registry keeps at most `capacity` modules
 resident, evicting least-recently-used; modules being scored are pinned and
-cannot be evicted until their in-flight requests finish. The wire protocol is
-newline-delimited JSON over stdio or TCP.
+cannot be evicted until their in-flight requests finish. `score` answers one
+request; `score_tokens` scores a whole tokenized split in packed batches for
+validation and evaluation. Both end in `heads.class_probs`. The wire protocol
+is newline-delimited JSON over stdio or TCP.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from .adapters import LoraAdapter, adapter_from_reader, adapter_to_bytes
-from .backbone import Backbone, tokenize
+from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
     ContractError,
     DuplicateTaskError,
@@ -26,7 +30,7 @@ from .errors import (
     ScoreMuxError,
     UnknownTaskError,
 )
-from .heads import ClassificationHead, predict
+from .heads import ClassificationHead, class_probs, predict
 from .numerics import Matrix, P32, Precision
 from .serialize import Reader, Writer
 
@@ -250,6 +254,16 @@ def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> Sc
     )
 
 
+def score_tokens(
+    backbone: Backbone, adapter: LoraAdapter | None, head: ClassificationHead, tokens: list[TokenSeq], batch_size: int
+) -> np.ndarray:
+    """N x C class probabilities of a tokenized split: one packed encode per batch, no tape."""
+    probs = np.empty((len(tokens), head.num_classes))
+    for lo in range(0, len(tokens), batch_size):
+        probs[lo : lo + batch_size] = class_probs(head, backbone.encode(tokens[lo : lo + batch_size], adapter))
+    return probs
+
+
 # -- registry manifest file -----------------------------------------------------
 
 
@@ -276,7 +290,7 @@ def handle_request_line(registry: Registry, backbone: Backbone, line: str) -> st
     """One JSON request record in, one JSON response record out; never raises."""
     try:
         req = json.loads(line)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # RecursionError: nesting too deep to parse
         return json.dumps({"error": "malformed_request"})
     rid = req.get("id") if isinstance(req, dict) else None
     if not isinstance(req, dict) or not isinstance(req.get("task"), str) or not isinstance(req.get("text"), str):
@@ -359,10 +373,11 @@ class TcpTransport:
 
     def _serve_conn(self, conn: socket.socket, handler) -> None:
         # separate reader and writer: a write through one "rw" text file
-        # discards the read-ahead, dropping pipelined requests
+        # discards the read-ahead, dropping pipelined requests; undecodable
+        # bytes become U+FFFD, so a bad line is malformed, not fatal
         with (
             conn,
-            conn.makefile("r", encoding="utf-8", newline="\n") as reader,
+            conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as reader,
             conn.makefile("w", encoding="utf-8", newline="\n") as writer,
         ):
             for line in reader:

@@ -8,7 +8,7 @@ clipping. `train_task` fits a LoRA adapter and head on a frozen backbone
 stopping on validation loss, restore of the best epoch); `pretrain_backbone`
 fits an unfrozen backbone on the masked-token loss; and
 `workbench.train_full_baseline` fits a backbone clone and head on
-cross-entropy. `_eval_split` is the one batched scoring pass over a split.
+cross-entropy. `_eval_split` scores a split with `orchestrator.score_tokens`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .numerics import (
     square,
 )
 from .numerics import cross_entropy as _ce_op
-from .orchestrator import ModuleMetadata, TaskModule
+from .orchestrator import ModuleMetadata, TaskModule, score_tokens
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -309,20 +309,15 @@ def classifier_loss(
 
 
 def _eval_split(backbone, adapter, head, examples, batch_size) -> tuple[float, float]:
-    """(mean CE, QWK) of a classifier on a tokenized split, in batches; no tape."""
-    golds = [label for _, label in examples]
-    preds = []
-    loss_sum = 0.0
-    for lo in range(0, len(examples), batch_size):
-        chunk = examples[lo : lo + batch_size]
-        probs = softmax(head_forward(head, backbone.encode([t for t, _ in chunk], adapter))).data
-        for row, (_, label) in zip(probs, chunk):
-            loss_sum -= math.log(max(float(row[label]), 1e-12))
-            preds.append(int(np.argmax(row)))
+    """(mean CE, QWK) of a classifier on a tokenized split, scored by `score_tokens`."""
+    probs = score_tokens(backbone, adapter, head, [t for t, _ in examples], batch_size)
+    golds = np.array([label for _, label in examples], dtype=np.int64)
+    picked = probs[np.arange(len(golds)), golds]
+    loss = float(-np.log(np.maximum(picked, 1e-12)).sum()) / max(1, len(golds))
     with warnings.catch_warnings():  # a constant prediction makes QWK 0/0
         warnings.simplefilter("ignore", RuntimeWarning)
-        agreement = qwk(golds, preds, head.num_classes) if len(golds) else 0.0
-    return loss_sum / max(1, len(examples)), agreement
+        agreement = qwk(golds, probs.argmax(axis=1), head.num_classes) if len(golds) else 0.0
+    return loss, agreement
 
 
 # -- trainers ----------------------------------------------------------------------

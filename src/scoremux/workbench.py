@@ -222,7 +222,6 @@ def run_benchmark(
     capacity: int = 4,
     switches: int = 110,
     warmup_discard: int = 10,
-    threads: int = 1,
 ) -> BenchReport:
     """Byte accounting plus measured switch latency, framework vs baseline.
 
@@ -269,13 +268,7 @@ def run_benchmark(
         registry = Registry(capacity=capacity)
         for tid in task_ids:
             registry.register(tid, module_paths[tid])
-        if threads > 1:
-            import concurrent.futures
-
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                responses = list(pool.map(lambda req: score(registry, backbone, *req), workload))
-        else:
-            responses = [score(registry, backbone, tid, text) for tid, text in workload]
+        responses = [score(registry, backbone, tid, text) for tid, text in workload]
         stats = registry.stats
         workload_stats = {
             "requests": len(workload),

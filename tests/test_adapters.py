@@ -86,12 +86,6 @@ class TestDelta:
         p = TargetPatch(0, TargetKind.VALUE_PROJ, Matrix.identity(2), Matrix.identity(2))
         np.testing.assert_array_equal(scaled_delta(p, 16, 2), 8.0 * np.eye(2, dtype=np.float32))
 
-    def test_literal_scale_mode_drops_alpha(self):
-        ad = new_adapter("T01", CFG, rng=Rng(3), scale_mode="literal")
-        randomize_b(ad, 4)
-        p = ad.targets[0]
-        np.testing.assert_allclose(ad.delta_matrix(p), p.a.data @ p.b.data, atol=1e-7)
-
     def test_delta_rank_bounded_by_r(self):
         ad = randomize_b(new_adapter("T01", CFG, r=3, rng=Rng(5)), 6)
         for p in ad.targets:

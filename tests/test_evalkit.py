@@ -18,7 +18,6 @@ from scoremux.evalkit import (
     macro_f1,
     paired_t_test,
     qwk,
-    regularized_incomplete_beta,
     student_t_two_sided_p,
 )
 
@@ -277,23 +276,25 @@ class TestEvaluate:
         with pytest.raises(ContractError):
             evaluate(registry, backbone, "TMem", [])
 
+    @pytest.mark.parametrize("batch_size", [32, 7])
+    def test_confusion_equals_per_item_score_labels(self, env, monkeypatch, batch_size):
+        from scoremux import evalkit
+        from scoremux.orchestrator import score
+        from scoremux.workbench import TaskSpec, generate_task
 
-class TestIncompleteBeta:
-    def test_analytic_special_case(self):
-        # I_x(1, b) = 1 - (1-x)^b
-        for x in (0.1, 0.5, 0.9):
-            for b in (0.5, 1.0, 2.5):
-                assert regularized_incomplete_beta(1.0, b, x) == pytest.approx(
-                    1.0 - (1.0 - x) ** b, abs=1e-12
-                )
+        backbone, registry, dataset, _ = env
+        monkeypatch.setattr(evalkit, "EVAL_BATCH_SIZE", batch_size)
+        # unseen answers give mixed, partly wrong labels; 40 items span two batches of 32
+        unseen = generate_task(TaskSpec("TMem", num_classes=2, n_items=40, difficulty="medium", seed=4)).items
+        for items in (list(dataset.items), list(unseen)):
+            report = evalkit.evaluate(registry, backbone, "TMem", items)
+            preds = [score(registry, backbone, "TMem", it.text).label for it in items]
+            expected = confusion_matrix([it.score for it in items], preds, 2)
+            assert report.confusion == tuple(tuple(int(x) for x in row) for row in expected)
 
-    def test_bounds(self):
-        assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-        assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
+    def test_unfrozen_backbone_rejected(self, env):
+        from scoremux.evalkit import evaluate
 
-    def test_symmetry_identity(self):
-        # I_x(a, b) = 1 - I_{1-x}(b, a)
-        for a, b, x in ((2.0, 5.0, 0.3), (0.5, 0.5, 0.7), (4.0, 1.5, 0.55)):
-            lhs = regularized_incomplete_beta(a, b, x)
-            rhs = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+        backbone, registry, dataset, _ = env
+        with pytest.raises(ContractError, match="frozen"):
+            evaluate(registry, backbone.clone(), "TMem", dataset.splits.test)

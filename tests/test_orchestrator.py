@@ -23,7 +23,7 @@ from scoremux.errors import (
     UnknownTaskError,
 )
 from scoremux.heads import new_head, predict
-from scoremux.numerics import Rng
+from scoremux.numerics import Matrix, Rng
 from scoremux.orchestrator import (
     ModuleMetadata,
     Registry,
@@ -382,6 +382,29 @@ class TestServe:
         assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
         assert reg.loaded_ids() == ["T01"]
 
+    def test_deeply_nested_json_is_malformed(self, module_dir, frozen_bb):
+        reg = fresh_registry(module_dir)
+        lines = ["[" * 100_000, self.make_request(2, "T01")]
+        stdout = io.StringIO()
+        served = serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout))
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert served == 2
+        assert responses[0] == {"error": "malformed_request"}
+        assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+
+    def test_nonfinite_head_is_internal_error(self, module_dir, frozen_bb, tmp_path):
+        module = build_module("TNaN", seed=3)
+        module.head.weight = Matrix(np.full(module.head.weight.shape, np.nan, dtype=np.float32))
+        save_task_module(module, str(tmp_path / "TNaN.mod"))
+        reg = fresh_registry({"TNaN": str(tmp_path / "TNaN.mod"), "T01": module_dir["T01"]})
+        lines = [self.make_request(1, "TNaN"), self.make_request(2, "T01")]
+        stdout = io.StringIO()
+        served = serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout))
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert served == 2
+        assert responses[0] == {"id": 1, "error": "internal_error"}
+        assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+
     def test_empty_registry_rejected(self, frozen_bb):
         with pytest.raises(ContractError):
             serve(Registry(), frozen_bb, StdioTransport(io.StringIO(""), io.StringIO()))
@@ -428,3 +451,25 @@ class TestServe:
         assert [d["id"] for d in docs] == list(range(32))
         assert [d["task"] for d in docs] == tasks
         assert served == [32]
+
+    def test_tcp_undecodable_line_is_malformed(self, module_dir, frozen_bb):
+        reg = fresh_registry(module_dir)
+        transport = TcpTransport(port=0)
+        served = []
+        server = threading.Thread(target=lambda: served.append(serve(reg, frozen_bb, transport)), daemon=True)
+        server.start()
+        try:
+            with socket.create_connection(("127.0.0.1", transport.port), timeout=5) as conn:
+                payload = self.make_request(1, "T01") + "\n", b"\xff\xfe\n", self.make_request(3, "T02") + "\n"
+                conn.sendall(payload[0].encode() + payload[1] + payload[2].encode())
+                with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+                    lines = [reader.readline() for _ in range(3)]
+        finally:
+            transport.stop()
+            server.join(timeout=5)
+        assert not server.is_alive()
+        docs = [json.loads(line) for line in lines]
+        assert docs[0]["id"] == 1 and docs[0]["task"] == "T01"
+        assert docs[1] == {"error": "malformed_request"}
+        assert docs[2]["id"] == 3 and docs[2]["task"] == "T02"
+        assert served == [3]

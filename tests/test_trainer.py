@@ -12,7 +12,8 @@ from scoremux.adapters import TargetKind, TargetPatch, LoraAdapter, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, save_backbone, tokenize
 from scoremux.data import ScoredResponse, TaskDataset, split_dataset
 from scoremux.errors import ContractError, FrozenViolationError
-from scoremux.heads import head_forward, new_head
+from scoremux.evalkit import qwk
+from scoremux.heads import head_forward, new_head, predict
 from scoremux.numerics import P64, Rng, Tape, concat_rows, matrix, softmax
 from scoremux.trainer import (
     Adam,
@@ -321,6 +322,18 @@ class TestTrainTask:
         val = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.val]
         val_loss, _ = _eval_split(frozen, module.adapter, module.head, val, cfg.batch_size)
         assert val_loss == report.epochs[report.best_epoch - 1].val_loss
+
+    def test_eval_split_matches_per_item_predict(self, frozen):
+        ds = generate_task(TaskSpec("T01", 3, 150, difficulty="medium", seed=4))
+        module, _ = train_task(frozen, ds, TrainConfig(learning_rate=2e-2, max_epochs=3, seed=4))
+        examples = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.train]
+        golds = [y for _, y in examples]
+        per_item = [predict(module.head, frozen.encode(t, module.adapter)) for t, _ in examples]
+        ref_loss = sum(-math.log(max(float(p[y]), 1e-12)) for (_, p), y in zip(per_item, golds)) / len(golds)
+        loss, agreement = _eval_split(frozen, module.adapter, module.head, examples, 7)
+        # batched and single-row float32 encodes differ in the last bits only
+        assert loss == pytest.approx(ref_loss, abs=1e-5)
+        assert agreement == qwk(golds, [label for label, _ in per_item], ds.num_classes)
 
     def test_report_text_has_documented_keys(self, frozen):
         _, report = train_task(frozen, make_dataset(n=80), TrainConfig(max_epochs=2, seed=3))

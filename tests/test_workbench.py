@@ -164,15 +164,6 @@ class TestBenchmark:
         assert w["hits"] + w["misses"] == 40
         assert w["evictions"] == max(0, w["loads"] - 2)
 
-    def test_threaded_workload(self, tmp_path):
-        bb, ckpt, paths = build_bench_env(tmp_path, n_tasks=4)
-        tasks = sorted(paths)
-        workload = [(tasks[i % 4], f"text {i}") for i in range(24)]
-        report = run_benchmark(
-            bb, paths, ckpt, workload=workload, capacity=2, switches=12, warmup_discard=2, threads=4
-        )
-        assert report.workload["hits"] + report.workload["misses"] == 24
-
     def test_missing_module_named_in_error(self, tmp_path):
         bb, ckpt, paths = build_bench_env(tmp_path)
         paths["T99"] = str(tmp_path / "nope.mod")
