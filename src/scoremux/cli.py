@@ -1,8 +1,12 @@
-"""Command-line front end: gen-data, pretrain, finetune, eval, bench, serve, compare."""
+"""Command-line front end: gen-data, pretrain, finetune, eval, bench, serve, compare.
+
+Precision is chosen once, by `pretrain`; later commands read it from the checkpoint.
+"""
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -12,7 +16,7 @@ from .backbone import Backbone, BackboneConfig, load_backbone, save_backbone, to
 from .data import load_jsonl, split_dataset
 from .errors import ScoreMuxError
 from .evalkit import evaluate, paired_t_test
-from .numerics import P32, P64, Precision
+from .numerics import P32, P64
 from .orchestrator import (
     Registry,
     StdioTransport,
@@ -30,10 +34,6 @@ from .workbench import (
     generate_tasks,
     run_benchmark,
 )
-
-
-def _precision(args) -> Precision:
-    return P64 if args.precision == 64 else P32
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -64,18 +64,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scoremux",
         description="Multi-task scoring: one frozen backbone, per-task low-rank modules.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--precision", type=int, choices=(32, 64), default=32)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", parents=[common], help="generate synthetic task datasets")
+    p = sub.add_parser("gen-data", help="generate synthetic task datasets")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spec", help="JSON file with a list of task specs")
     p.add_argument("--tasks", type=int, default=27)
     p.add_argument("--items", type=int, default=1000)
     p.add_argument("--out", required=True, help="output directory for JSONL files + manifest")
 
-    p = sub.add_parser("pretrain", parents=[common], help="MLM-pretrain and freeze a backbone")
+    p = sub.add_parser("pretrain", help="MLM-pretrain and freeze a backbone")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision", type=int, choices=(32, 64), default=32, help="float width of the checkpoint")
     p.add_argument("--corpus", help="text file, one document per line (omit to skip MLM)")
     p.add_argument("--out", required=True, help="backbone checkpoint path")
     p.add_argument("--mlm-epochs", type=int, default=1)
@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ff", type=int, default=128)
     p.add_argument("--max-seq-len", type=int, default=64)
 
-    p = sub.add_parser("finetune", parents=[common], help="train one task module")
+    p = sub.add_parser("finetune", help="train one task module")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backbone", required=True)
     p.add_argument("--data", required=True, help="task JSONL file")
     p.add_argument("--out", required=True, help="task-module output path")
@@ -96,13 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=8)
     p.add_argument("--alpha", type=float, default=16.0)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a module on the test split")
+    p = sub.add_parser("eval", help="evaluate a module on the test split")
+    p.add_argument("--seed", type=int, default=0, help="seed of the train/val/test split")
     p.add_argument("--backbone", required=True)
     p.add_argument("--module", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="eval-report JSON path (default: stdout)")
 
-    p = sub.add_parser("bench", parents=[common], help="memory/latency benchmark")
+    p = sub.add_parser("bench", help="memory/latency benchmark")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --accuracy-baselines training")
     p.add_argument("--backbone", required=True)
     p.add_argument("--modules", required=True, help="directory of .mod files")
     p.add_argument("--out", help="bench-report JSON path (default: stdout)")
@@ -115,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--data", help="dataset directory for --accuracy-baselines")
 
-    p = sub.add_parser("serve", parents=[common], help="serve scoring requests")
+    p = sub.add_parser("serve", help="serve scoring requests")
     p.add_argument("--backbone", required=True)
     p.add_argument("--manifest", required=True, help="JSON map of task_id -> module path")
     p.add_argument("--capacity", type=int, default=4)
     p.add_argument("--tcp", type=int, help="listen on this TCP port instead of stdio")
 
-    p = sub.add_parser("compare", parents=[common], help="paired t-test over two QWK vectors")
+    p = sub.add_parser("compare", help="paired t-test over two QWK vectors")
     p.add_argument("--a", required=True, help="JSON array file")
     p.add_argument("--b", required=True, help="JSON array file")
     return parser
@@ -149,7 +152,7 @@ def cmd_pretrain(args) -> int:
         max_seq_len=args.max_seq_len,
         seed=args.seed,
     )
-    bb = Backbone(config, _precision(args))
+    bb = Backbone(config, P64 if args.precision == 64 else P32)
     if args.corpus:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             sequences = [tokenize(line.strip(), config) for line in fh if line.strip()]
@@ -183,8 +186,8 @@ def cmd_eval(args) -> int:
     bb = load_backbone(args.backbone)
     dataset = load_jsonl(args.data)
     split_dataset(dataset, args.seed)
-    module = load_task_module(args.module, _precision(args))
-    registry = Registry(capacity=1, precision=_precision(args))
+    module = load_task_module(args.module, bb.precision)
+    registry = Registry(capacity=1, precision=bb.precision)
     registry.register(module.task_id, args.module)
     report = evaluate(registry, bb, module.task_id, dataset.splits.test)
     text = report.to_json()
@@ -245,12 +248,14 @@ def cmd_bench(args) -> int:
 
 def cmd_serve(args) -> int:
     bb = load_backbone(args.backbone)
-    registry = load_registry_manifest(args.manifest, capacity=args.capacity, precision=_precision(args))
+    registry = load_registry_manifest(args.manifest, capacity=args.capacity, precision=bb.precision)
     if args.tcp is not None:
         transport = TcpTransport(port=args.tcp)
         print(f"listening on tcp {transport.host}:{transport.port}", file=sys.stderr)
     else:
-        transport = StdioTransport(sys.stdin, sys.stdout)
+        # decode as TcpTransport does: UTF-8, bad bytes to U+FFFD, lines end only at \n
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="replace", newline="\n")
+        transport = StdioTransport(stdin, sys.stdout)
     serve(registry, bb, transport)
     return 0
 

@@ -31,6 +31,10 @@ class DuplicateTaskError(ScoreMuxError):
     """Task id is already registered."""
 
 
+class BackboneMismatchError(ScoreMuxError):
+    """Task module was trained against a different backbone than the one scoring it."""
+
+
 class RegistrationError(ScoreMuxError):
     """Module file cannot be registered (unreadable or bad header)."""
 

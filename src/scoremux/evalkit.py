@@ -4,7 +4,8 @@ The metrics are pure functions of label lists; the only I/O is the JSON
 eval-report document. The paired t-test's two-sided p-value comes from SciPy's
 Student t CDF (`scipy.special.stdtr`). `evaluate` scores a test split through
 the registry's module with the batched `orchestrator.score_tokens` pass, the
-same head probabilities that serving reports.
+same head probabilities that serving reports; like serving, it refuses a
+module trained against another backbone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.special import stdtr
 
 from .backbone import tokenize
 from .errors import ContractError
-from .orchestrator import score_tokens
+from .orchestrator import check_backbone, score_tokens
 
 EVAL_BATCH_SIZE = 32
 
@@ -131,16 +132,7 @@ class EvalReport:
     confusion: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> str:
-        # fixed key order, one document per report
-        doc = {
-            "task_id": self.task_id,
-            "n_test": self.n_test,
-            "qwk": self.qwk,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "confusion": [list(row) for row in self.confusion],
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)  # keys in field order
 
 
 def evaluate(registry, backbone, task_id: str, test_split) -> EvalReport:
@@ -150,6 +142,7 @@ def evaluate(registry, backbone, task_id: str, test_split) -> EvalReport:
     if not backbone.frozen:
         raise ContractError("scoring requires a frozen backbone")
     module = registry.ensure_loaded(task_id)
+    check_backbone(module, backbone)
     tokens = [tokenize(item.text, backbone.config) for item in test_split]
     preds = score_tokens(backbone, module.adapter, module.head, tokens, EVAL_BATCH_SIZE).argmax(axis=1)
     golds = [item.score for item in test_split]

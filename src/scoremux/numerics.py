@@ -348,13 +348,13 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def gelu(a: Matrix) -> Matrix:
-    """Gaussian error linear unit, exact erf form."""
+    """Gaussian error linear unit, exact erf form; the VJP reuses the forward's normal CDF."""
     x = a.data
-    out = Matrix(0.5 * x * (1.0 + erf(x * np.asarray(math.sqrt(0.5), dtype=x.dtype))))
+    cdf = 0.5 * (1.0 + erf(x * np.asarray(math.sqrt(0.5), dtype=x.dtype)))
+    out = Matrix(x * cdf)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         phi = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
-        cdf = 0.5 * (1.0 + erf(x * math.sqrt(0.5)))
         return g * (cdf + x * phi).astype(x.dtype)
 
     return _record(out, (a,), (vjp,))

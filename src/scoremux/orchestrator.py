@@ -6,7 +6,7 @@ resident, evicting least-recently-used; modules being scored are pinned and
 cannot be evicted until their in-flight requests finish. `score` answers one
 request; `score_tokens` scores a whole tokenized split in packed batches for
 validation and evaluation. Both end in `heads.class_probs`. The wire protocol
-is newline-delimited JSON over stdio or TCP.
+is newline-delimited UTF-8 JSON over stdio or TCP.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from .adapters import LoraAdapter, adapter_from_reader, adapter_to_bytes
 from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
+    BackboneMismatchError,
     ContractError,
     DuplicateTaskError,
     FileFormatError,
@@ -229,6 +230,12 @@ class Registry:
         return module
 
 
+def check_backbone(module: TaskModule, backbone: Backbone) -> None:
+    """Raise BackboneMismatchError unless `module` was trained against this frozen backbone."""
+    if module.metadata.backbone_fingerprint != backbone.frozen_fingerprint:
+        raise BackboneMismatchError(f"module {module.task_id!r} was trained against another backbone")
+
+
 def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> ScoreResult:
     """Three-step scoring: encode through adapter, then head probabilities."""
     if not backbone.frozen:
@@ -237,6 +244,7 @@ def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> Sc
     module, hit = registry._acquire(task_id, pin=True)
     compute_us = 0
     try:
+        check_backbone(module, backbone)
         t_compute = time.perf_counter_ns()
         tokens = tokenize(text, backbone.config)
         h = backbone.encode(tokens, module.adapter)
@@ -290,7 +298,7 @@ def handle_request_line(registry: Registry, backbone: Backbone, line: str) -> st
     """One JSON request record in, one JSON response record out; never raises."""
     try:
         req = json.loads(line)
-    except (json.JSONDecodeError, RecursionError):  # RecursionError: nesting too deep to parse
+    except (ValueError, RecursionError):  # bad JSON or an over-long integer; nesting too deep to parse
         return json.dumps({"error": "malformed_request"})
     rid = req.get("id") if isinstance(req, dict) else None
     if not isinstance(req, dict) or not isinstance(req.get("task"), str) or not isinstance(req.get("text"), str):
@@ -299,6 +307,8 @@ def handle_request_line(registry: Registry, backbone: Backbone, line: str) -> st
         result = score(registry, backbone, req["task"], req["text"])
     except UnknownTaskError:
         return json.dumps({"id": rid, "error": "unknown_task"})
+    except BackboneMismatchError:
+        return json.dumps({"id": rid, "error": "backbone_mismatch"})
     except (FileFormatError, OSError):  # corrupt, or removed/unreadable after register
         return json.dumps({"id": rid, "error": "load_error"})
     except ScoreMuxError:

@@ -15,7 +15,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -192,20 +192,7 @@ class BenchReport:
     accuracy_gap: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "backbone_param_bytes": self.backbone_param_bytes,
-            "module_bytes": self.module_bytes,
-            "baseline_total_bytes": self.baseline_total_bytes,
-            "framework_total_bytes": self.framework_total_bytes,
-            "capacity": self.capacity,
-            "framework_switch_us": self.framework_switch_us,
-            "baseline_switch_us": self.baseline_switch_us,
-            "memory_reduction_fraction": self.memory_reduction_fraction,
-            "latency_reduction_fraction": self.latency_reduction_fraction,
-            "workload": self.workload,
-            "accuracy_gap": self.accuracy_gap,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps(asdict(self), indent=2)  # keys in field order
 
 
 def _percentiles(samples_us: list[int]) -> dict:
@@ -237,7 +224,7 @@ def run_benchmark(
         if not os.path.exists(module_paths[tid]):
             raise BenchError(f"missing module file for task {tid!r}: {module_paths[tid]}")
 
-    modules = {tid: load_task_module(module_paths[tid]) for tid in task_ids}
+    modules = {tid: load_task_module(module_paths[tid], backbone.precision) for tid in task_ids}
     backbone_bytes = backbone.param_bytes(include_mlm_head=False)
     module_bytes = [modules[tid].param_bytes() for tid in task_ids]
     head_bytes = [modules[tid].head.param_bytes() for tid in task_ids]
@@ -249,13 +236,13 @@ def run_benchmark(
     for i in range(switches):
         tid = task_ids[i % len(task_ids)]
         t0 = time.perf_counter_ns()
-        module = load_task_module(module_paths[tid])
+        module = load_task_module(module_paths[tid], backbone.precision)
         attach(backbone, module.adapter)
         fw_samples.append((time.perf_counter_ns() - t0) // 1000)
 
         t0 = time.perf_counter_ns()
         reloaded = load_backbone(backbone_checkpoint)
-        load_task_module(module_paths[tid])  # baseline still ships a head
+        load_task_module(module_paths[tid], backbone.precision)  # baseline still ships a head
         assert reloaded.config == backbone.config
         bl_samples.append((time.perf_counter_ns() - t0) // 1000)
     fw_samples = fw_samples[warmup_discard:]
@@ -265,7 +252,7 @@ def run_benchmark(
 
     workload_stats: dict = {}
     if workload:
-        registry = Registry(capacity=capacity)
+        registry = Registry(capacity=capacity, precision=backbone.precision)
         for tid in task_ids:
             registry.register(tid, module_paths[tid])
         responses = [score(registry, backbone, tid, text) for tid, text in workload]
@@ -344,7 +331,7 @@ def accuracy_gap_comparison(
         ds = datasets[tid]
         if ds.splits is None:
             split_dataset(ds, cfg.seed)
-        module = load_task_module(module_paths[tid])
+        module = load_task_module(module_paths[tid], backbone.precision)
         attach(backbone, module.adapter)  # frozen backbone, matching dimensions
         test = [(tokenize(it.text, backbone.config), it.score) for it in ds.splits.test]
         framework_qwk.append(_eval_split(backbone, module.adapter, module.head, test, cfg.batch_size)[1])

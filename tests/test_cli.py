@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+from contextlib import redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import scoremux
+from scoremux import cli, orchestrator
 from scoremux.backbone import load_backbone
 from scoremux.cli import main
-from scoremux.orchestrator import load_task_module
+from scoremux.numerics import P64
+from scoremux.orchestrator import Registry, TcpTransport, load_registry_manifest, load_task_module, score, serve
 
 TINY_BACKBONE = [
     "--vocab-size", "200", "--d-model", "16", "--layers", "1",
@@ -175,7 +187,7 @@ class TestServe:
         mapping = {f"T{i:02d}": str(workdir / "modules" / f"T{i:02d}.mod") for i in range(3)}
         manifest.write_text(json.dumps(mapping))
         request = json.dumps({"id": 7, "task": "T01", "text": "eine antwort"})
-        monkeypatch.setattr("sys.stdin", io.StringIO(request + "\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO((request + "\n").encode())))
         assert main([
             "serve", "--backbone", str(workdir / "backbone.bin"), "--manifest", str(manifest),
         ]) == 0
@@ -216,3 +228,165 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("scoremux finetune:") and "\n" not in err
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--backbone", "b.bin", "--manifest", "m.json", "--precision", "64"],
+        ["serve", "--backbone", "b.bin", "--manifest", "m.json", "--seed", "1"],
+        ["compare", "--a", "a.json", "--b", "b.json", "--seed", "1"],
+        ["eval", "--backbone", "b.bin", "--module", "m.mod", "--data", "d.jsonl", "--precision", "64"],
+    ])
+    def test_options_that_duplicate_inputs_are_unknown(self, argv):
+        # every other argument is valid, so only the dropped flag can exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_eval_of_module_for_another_backbone_exits_1(self, workdir, tmp_path, capsys):
+        other = tmp_path / "other.bin"
+        assert main(["pretrain", "--out", str(other), "--seed", "9", *TINY_BACKBONE]) == 0
+        capsys.readouterr()
+        assert main([
+            "eval", "--backbone", str(other), "--module", str(workdir / "modules" / "T00.mod"),
+            "--data", str(workdir / "data" / "T00.jsonl"), "--seed", "4",
+        ]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("scoremux eval:") and "another backbone" in err and "\n" not in err
+
+
+def test_float64_pipeline_takes_precision_from_checkpoint(workdir, tmp_path, monkeypatch, capsys):
+    bb_path, mods, data = tmp_path / "bb64.bin", tmp_path / "modules", workdir / "data" / "T00.jsonl"
+    mods.mkdir()
+    mod = mods / "T00.mod"
+    assert main([
+        "pretrain", "--precision", "64", "--corpus", str(workdir / "corpus.txt"), "--out", str(bb_path),
+        "--lr", "1e-4", "--batch-size", "16", "--seed", "4", *TINY_BACKBONE,
+    ]) == 0
+    assert main([
+        "finetune", "--backbone", str(bb_path), "--data", str(data), "--out", str(mod),
+        "--lr", "1e-2", "--batch-size", "8", "--epochs", "2", "--seed", "4",
+    ]) == 0
+    assert main([
+        "eval", "--backbone", str(bb_path), "--module", str(mod), "--data", str(data),
+        "--seed", "4", "--out", str(tmp_path / "eval.json"),
+    ]) == 0
+    manifest = tmp_path / "registry.json"
+    manifest.write_text(json.dumps({"T00": str(mod)}))
+    request = json.dumps({"id": 1, "task": "T00", "text": "eine antwort"})
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO((request + "\n").encode())))
+    capsys.readouterr()
+    assert main(["serve", "--backbone", str(bb_path), "--manifest", str(manifest)]) == 0
+    served = json.loads(capsys.readouterr().out)
+    out = tmp_path / "bench.json"
+    assert main([
+        "bench", "--backbone", str(bb_path), "--modules", str(mods),
+        "--switches", "12", "--requests", "5", "--out", str(out),
+    ]) == 0
+
+    bb = load_backbone(str(bb_path))
+    assert bb.precision is P64
+    registry = Registry(capacity=1, precision=P64)
+    registry.register("T00", str(mod))
+    assert served["probs"] == list(score(registry, bb, "T00", "eine antwort").probs)
+    doc = json.loads(out.read_text())
+    assert doc["module_bytes"] == [8 * load_task_module(str(mod)).param_count()]
+    assert doc["workload"]["responses"] == 5
+
+
+@pytest.fixture(scope="module")
+def manifest(workdir):
+    path = workdir / "serve_manifest.json"
+    path.write_text(json.dumps({f"T{i:02d}": str(workdir / "modules" / f"T{i:02d}.mod") for i in range(3)}))
+    return path
+
+
+def serve_subprocess(workdir, manifest, stdin: bytes, encoding: str | None) -> list[dict]:
+    """Run `scoremux serve` over stdio with PYTHONIOENCODING set to `encoding` (None: unset)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(scoremux.__file__)))
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    proc = subprocess.run(
+        [sys.executable, "-m", "scoremux.cli", "serve", "--backbone", str(workdir / "backbone.bin"),
+         "--manifest", str(manifest)],
+        input=stdin, capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return [json.loads(line) for line in proc.stdout.decode().splitlines()]
+
+
+def without_latency(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k != "latency_us"}
+
+
+class TestStdinEncoding:
+    def test_undecodable_bytes_are_malformed_under_utf8_stdio(self, workdir, manifest):
+        valid = [json.dumps({"id": i, "task": "T01", "text": "eine antwort"}).encode() for i in (1, 3)]
+        docs = serve_subprocess(workdir, manifest, valid[0] + b"\n\xff\xfe\n" + valid[1] + b"\n", "utf-8")
+        assert len(docs) == 3
+        assert docs[0]["id"] == 1 and docs[0]["task"] == "T01"
+        assert docs[1] == {"error": "malformed_request"}
+        assert docs[2]["id"] == 3 and docs[2]["task"] == "T01"
+
+    def test_unescaped_utf8_same_answer_under_every_stdin_encoding_and_tcp(self, workdir, manifest):
+        text = "über größe"
+        line = json.dumps({"id": 1, "task": "T00", "text": text}, ensure_ascii=False).encode("utf-8") + b"\n"
+        answers = [serve_subprocess(workdir, manifest, line, enc) for enc in (None, "utf-8", "latin-1")]
+
+        bb = load_backbone(str(workdir / "backbone.bin"))
+        transport = TcpTransport(port=0)
+        server = threading.Thread(
+            target=serve, args=(load_registry_manifest(str(manifest)), bb, transport), daemon=True
+        )
+        server.start()
+        try:
+            with socket.create_connection(("127.0.0.1", transport.port), timeout=5) as conn:
+                conn.sendall(line)
+                with conn.makefile("rb") as reader:
+                    answers.append([json.loads(reader.readline())])
+        finally:
+            transport.stop()
+            server.join(timeout=5)
+        assert not server.is_alive()
+
+        registry = load_registry_manifest(str(manifest))
+        expected = score(registry, bb, "T00", text)
+        assert answers[0][0]["probs"] == list(expected.probs)
+        assert all([without_latency(d) for d in a] == [without_latency(answers[0][0])] for a in answers)
+
+
+# arbitrary byte lines, and JSON requests (unescaped UTF-8) whose integer id must come back
+_byte_lines = st.binary(max_size=40).map(lambda b: (b.replace(b"\n", b""), None))
+_requests = st.builds(
+    lambda rid, task, text: (
+        json.dumps({"id": rid, "task": task, "text": text}, ensure_ascii=False).encode("utf-8"),
+        rid,
+    ),
+    st.integers(), st.sampled_from(["T00", "T02", "TXX"]), st.text(max_size=30),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(st.one_of(_byte_lines, _requests), max_size=6))
+@example(lines=[(b"\xff\xfe", None)])
+@example(lines=[(b"9" * 5000, None), (b'{"id": 2, "task": "T00", "text": "x"}', 2)])
+@example(lines=[(b"[" * 100_000, None)])
+def test_wire_protocol_one_answer_per_nonblank_line(workdir, manifest, lines):
+    data = b"".join(raw + b"\n" for raw, _ in lines)
+    answered = [rid for raw, rid in lines if raw.decode("utf-8", "replace").strip()]
+    returned = []
+
+    def counting_serve(*args):
+        returned.append(orchestrator.serve(*args))
+        return returned[-1]
+
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))), \
+            mock.patch.object(cli, "serve", counting_serve), redirect_stdout(out):
+        assert main(["serve", "--backbone", str(workdir / "backbone.bin"), "--manifest", str(manifest)]) == 0
+    docs = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert returned == [len(answered)] and len(docs) == len(answered)
+    for doc, rid in zip(docs, answered):
+        if rid is not None:
+            assert doc["id"] == rid

@@ -257,7 +257,7 @@ class TestEvaluate:
                 task_id=tid,
                 adapter=new_adapter(tid, backbone.config, rng=Rng(seed)),
                 head=new_head(tid, 2, backbone.config.d_model, Rng(100 + seed)),
-                metadata=ModuleMetadata(2, 0, ""),
+                metadata=ModuleMetadata(2, 0, backbone.frozen_fingerprint),
             )
             path = tmp_path / f"{tid}.mod"
             save_task_module(module, str(path))
@@ -298,3 +298,13 @@ class TestEvaluate:
         backbone, registry, dataset, _ = env
         with pytest.raises(ContractError, match="frozen"):
             evaluate(registry, backbone.clone(), "TMem", dataset.splits.test)
+
+    def test_module_for_another_backbone_rejected(self, env):
+        from scoremux.backbone import Backbone, BackboneConfig
+        from scoremux.errors import BackboneMismatchError
+        from scoremux.evalkit import evaluate
+
+        _, registry, dataset, _ = env
+        other = Backbone(BackboneConfig(seed=7)).freeze()
+        with pytest.raises(BackboneMismatchError):
+            evaluate(registry, other, "TMem", dataset.splits.test)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import socket
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scoremux.adapters import attach, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, tokenize
 from scoremux.errors import (
+    BackboneMismatchError,
     ChecksumError,
     ContractError,
     DuplicateTaskError,
@@ -41,6 +43,7 @@ from scoremux.orchestrator import (
 )
 
 CFG = BackboneConfig(seed=123)
+FINGERPRINT = Backbone(CFG).fingerprint()  # of `frozen_bb`, the backbone these modules are scored with
 N_TASKS = 27
 
 
@@ -55,7 +58,7 @@ def build_module(task_id: str, num_classes: int = 3, seed: int = 0, randomize: b
         task_id=task_id,
         adapter=adapter,
         head=head,
-        metadata=ModuleMetadata(num_classes, int(time.time()), "f" * 64),
+        metadata=ModuleMetadata(num_classes, int(time.time()), FINGERPRINT),
     )
 
 
@@ -391,6 +394,36 @@ class TestServe:
         assert served == 2
         assert responses[0] == {"error": "malformed_request"}
         assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+
+    def test_overlong_integer_is_malformed(self, module_dir, frozen_bb):
+        # json.loads raises a plain ValueError past the int-string conversion limit (4,300 digits)
+        reg = fresh_registry(module_dir)
+        huge = '{"id": ' + "1" * 5000 + ', "task": "T01", "text": "x"}'
+        lines = [self.make_request(1, "T01"), huge, self.make_request(3, "T02")]
+        stdout = io.StringIO()
+        served = serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout))
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert served == 3
+        assert responses[0]["id"] == 1 and responses[0]["task"] == "T01"
+        assert responses[1] == {"error": "malformed_request"}
+        assert responses[2]["id"] == 3 and responses[2]["task"] == "T02"
+
+    def test_module_for_another_backbone_is_mismatch(self, module_dir, frozen_bb, tmp_path):
+        module = build_module("TOther", seed=3)
+        other = Backbone(BackboneConfig(seed=CFG.seed + 1)).fingerprint()
+        module.metadata = dataclasses.replace(module.metadata, backbone_fingerprint=other)
+        save_task_module(module, str(tmp_path / "TOther.mod"))
+        reg = fresh_registry({"TOther": str(tmp_path / "TOther.mod"), "T01": module_dir["T01"]})
+        lines = [self.make_request(1, "TOther"), self.make_request(2, "T01")]
+        stdout = io.StringIO()
+        served = serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout))
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert served == 2
+        assert responses[0] == {"id": 1, "error": "backbone_mismatch"}
+        assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+        with pytest.raises(BackboneMismatchError):
+            score(reg, frozen_bb, "TOther", "eine antwort")
+        assert reg._pins == {}  # the mismatch released its pin
 
     def test_nonfinite_head_is_internal_error(self, module_dir, frozen_bb, tmp_path):
         module = build_module("TNaN", seed=3)
