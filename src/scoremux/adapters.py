@@ -164,30 +164,26 @@ def attach(backbone: Backbone, adapter: LoraAdapter) -> AdaptedModel:
     return AdaptedModel(backbone=backbone, adapter=adapter)
 
 
-def merge(backbone: Backbone, adapter: LoraAdapter) -> Backbone:
-    """Clone of the backbone with each patched weight replaced by W + delta."""
+def _shift(backbone: Backbone, adapter: LoraAdapter, sign: float) -> Backbone:
     _check_dims(backbone, adapter)
-    merged = backbone.clone()
+    shifted = backbone.clone()
     for p in adapter.targets:
         name = f"layer{p.layer_index}.{p.kind.weight_name}"
-        w = merged.params[name]
-        merged.params[name] = Matrix(w.data + adapter.delta_matrix(p).astype(w.data.dtype))
+        w = shifted.params[name]
+        shifted.params[name] = Matrix(w.data + sign * adapter.delta_matrix(p).astype(w.data.dtype))
     if backbone.frozen:
-        merged.freeze()
-    return merged
+        shifted.freeze()
+    return shifted
+
+
+def merge(backbone: Backbone, adapter: LoraAdapter) -> Backbone:
+    """Clone of the backbone with each patched weight replaced by W + delta."""
+    return _shift(backbone, adapter, 1.0)
 
 
 def unmerge(merged: Backbone, adapter: LoraAdapter) -> Backbone:
     """Inverse of merge on the same adapter: subtracts each delta."""
-    _check_dims(merged, adapter)
-    restored = merged.clone()
-    for p in adapter.targets:
-        name = f"layer{p.layer_index}.{p.kind.weight_name}"
-        w = restored.params[name]
-        restored.params[name] = Matrix(w.data - adapter.delta_matrix(p).astype(w.data.dtype))
-    if merged.frozen:
-        restored.freeze()
-    return restored
+    return _shift(merged, adapter, -1.0)
 
 
 # -- adapter file I/O ----------------------------------------------------------
@@ -228,6 +224,14 @@ def adapter_from_reader(r: Reader, precision: Precision = P32) -> LoraAdapter:
     return LoraAdapter(task_id=task_id, rank=rank, alpha=alpha, targets=patches)
 
 
+def adapter_from_bytes(data: bytes, precision: Precision = P32) -> LoraAdapter:
+    """Parse a whole adapter file image: header, body and checksum trailer."""
+    r = Reader(data, ADAPTER_MAGIC, ADAPTER_VERSION)
+    adapter = adapter_from_reader(r, precision)
+    r.finish()
+    return adapter
+
+
 def save_adapter(adapter: LoraAdapter, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(adapter_to_bytes(adapter))
@@ -235,8 +239,4 @@ def save_adapter(adapter: LoraAdapter, path: str) -> None:
 
 def load_adapter(path: str, precision: Precision = P32) -> LoraAdapter:
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = Reader(data, ADAPTER_MAGIC, ADAPTER_VERSION)
-    adapter = adapter_from_reader(r, precision)
-    r.finish()
-    return adapter
+        return adapter_from_bytes(fh.read(), precision)

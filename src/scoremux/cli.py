@@ -1,11 +1,13 @@
 """Command-line front end: gen-data, pretrain, finetune, eval, bench, serve, compare.
 
 Precision is chosen once, by `pretrain`; later commands read it from the checkpoint.
+Each training option is a config dataclass field, which owns its type and default.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
@@ -18,6 +20,7 @@ from .errors import ScoreMuxError
 from .evalkit import evaluate, paired_t_test
 from .numerics import P32, P64
 from .orchestrator import (
+    DEFAULT_CAPACITY,
     Registry,
     StdioTransport,
     TcpTransport,
@@ -36,27 +39,25 @@ from .workbench import (
 )
 
 
-def _train_config(args, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        warmup_fraction=args.warmup,
-        clip_norm=args.clip_norm,
-        reg_lambda=args.reg_lambda,
-        seed=seed,
-    )
+# config field -> option name, where the two differ
+_OPTION_NAMES = {"learning_rate": "lr", "max_epochs": "epochs", "warmup_fraction": "warmup", "n_layers": "layers",
+                 "n_heads": "heads"}
+_FIT_FIELDS = ("learning_rate", "batch_size", "warmup_fraction", "clip_norm")  # the fields MLM `fit` reads
 
 
-def _add_train_flags(p: argparse.ArgumentParser, default_lr: float = 5e-5) -> None:
-    p.add_argument("--lr", type=float, default=default_lr, help="Adam learning rate")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--patience", type=int, default=2)
-    p.add_argument("--warmup", type=float, default=0.10, help="warmup fraction of total steps")
-    p.add_argument("--clip-norm", type=float, default=1.0)
-    p.add_argument("--reg-lambda", type=float, default=1e-4)
+def _add_options(p: argparse.ArgumentParser, config, *fields: str) -> None:
+    """Add an option for each field of `config`, with that field's type and default."""
+    for field in fields:
+        default = getattr(config, field)
+        p.add_argument(
+            "--" + _OPTION_NAMES.get(field, field).replace("_", "-"), dest=field, type=type(default),
+            default=default, help=f"{type(config).__name__}.{field} (default: %(default)s)",
+        )
+
+
+def _config(cls, args):
+    """A `cls` config from the parsed options named after its fields; the other fields keep their defaults."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,28 +75,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for JSONL files + manifest")
 
     p = sub.add_parser("pretrain", help="MLM-pretrain and freeze a backbone")
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, BackboneConfig(), "seed")
     p.add_argument("--precision", type=int, choices=(32, 64), default=32, help="float width of the checkpoint")
     p.add_argument("--corpus", help="text file, one document per line (omit to skip MLM)")
     p.add_argument("--out", required=True, help="backbone checkpoint path")
     p.add_argument("--mlm-epochs", type=int, default=1)
-    _add_train_flags(p)
-    p.add_argument("--vocab-size", type=int, default=1000)
-    p.add_argument("--d-model", type=int, default=64)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--d-ff", type=int, default=128)
-    p.add_argument("--max-seq-len", type=int, default=64)
+    _add_options(p, TrainConfig(), *_FIT_FIELDS)
+    _add_options(p, BackboneConfig(), "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len")
 
     p = sub.add_parser("finetune", help="train one task module")
-    p.add_argument("--seed", type=int, default=0)
+    _add_options(p, TrainConfig(), "seed")
     p.add_argument("--backbone", required=True)
     p.add_argument("--data", required=True, help="task JSONL file")
     p.add_argument("--out", required=True, help="task-module output path")
     p.add_argument("--report", help="write the training report here")
-    _add_train_flags(p)
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=16.0)
+    _add_options(p, TrainConfig(), *_FIT_FIELDS, "max_epochs", "patience", "reg_lambda")
+    _add_options(p, LoraConfig(), "rank", "alpha")
 
     p = sub.add_parser("eval", help="evaluate a module on the test split")
     p.add_argument("--seed", type=int, default=0, help="seed of the train/val/test split")
@@ -105,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="eval-report JSON path (default: stdout)")
 
     p = sub.add_parser("bench", help="memory/latency benchmark")
-    p.add_argument("--seed", type=int, default=0, help="seed of the --accuracy-baselines training")
+    _add_options(p, TrainConfig(), "seed")  # of the --accuracy-baselines training
     p.add_argument("--backbone", required=True)
     p.add_argument("--modules", required=True, help="directory of .mod files")
     p.add_argument("--out", help="bench-report JSON path (default: stdout)")
-    p.add_argument("--capacity", type=int, default=4)
+    p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     p.add_argument("--switches", type=int, default=110)
     p.add_argument("--requests", type=int, default=200)
     p.add_argument(
@@ -121,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve scoring requests")
     p.add_argument("--backbone", required=True)
     p.add_argument("--manifest", required=True, help="JSON map of task_id -> module path")
-    p.add_argument("--capacity", type=int, default=4)
+    p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     p.add_argument("--tcp", type=int, help="listen on this TCP port instead of stdio")
 
     p = sub.add_parser("compare", help="paired t-test over two QWK vectors")
@@ -143,20 +138,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    config = BackboneConfig(
-        vocab_size=args.vocab_size,
-        d_model=args.d_model,
-        n_layers=args.layers,
-        n_heads=args.heads,
-        d_ff=args.d_ff,
-        max_seq_len=args.max_seq_len,
-        seed=args.seed,
-    )
+    config = _config(BackboneConfig, args)
     bb = Backbone(config, P64 if args.precision == 64 else P32)
     if args.corpus:
         with open(args.corpus, "r", encoding="utf-8") as fh:
             sequences = [tokenize(line.strip(), config) for line in fh if line.strip()]
-        losses = pretrain_backbone(bb, sequences, _train_config(args, args.seed), epochs=args.mlm_epochs)
+        losses = pretrain_backbone(bb, sequences, _config(TrainConfig, args), epochs=args.mlm_epochs)
         print(f"mlm steps={len(losses)} first_loss={losses[0]:.4f} last_loss={losses[-1]:.4f}")
     bb.freeze()
     save_backbone(bb, args.out)
@@ -167,9 +154,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     bb = load_backbone(args.backbone)
     dataset = load_jsonl(args.data)
-    module, report = train_task(
-        bb, dataset, _train_config(args, args.seed), LoraConfig(rank=args.rank, alpha=args.alpha)
-    )
+    module, report = train_task(bb, dataset, _config(TrainConfig, args), _config(LoraConfig, args))
     save_task_module(module, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -186,10 +171,10 @@ def cmd_eval(args) -> int:
     bb = load_backbone(args.backbone)
     dataset = load_jsonl(args.data)
     split_dataset(dataset, args.seed)
-    module = load_task_module(args.module, bb.precision)
-    registry = Registry(capacity=1, precision=bb.precision)
-    registry.register(module.task_id, args.module)
-    report = evaluate(registry, bb, module.task_id, dataset.splits.test)
+    task_id = load_task_module(args.module).task_id
+    registry = Registry(capacity=1)
+    registry.register(task_id, args.module)
+    report = evaluate(registry, bb, task_id, dataset.splits.test)
     text = report.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -248,7 +233,7 @@ def cmd_bench(args) -> int:
 
 def cmd_serve(args) -> int:
     bb = load_backbone(args.backbone)
-    registry = load_registry_manifest(args.manifest, capacity=args.capacity, precision=bb.precision)
+    registry = load_registry_manifest(args.manifest, capacity=args.capacity)
     if args.tcp is not None:
         transport = TcpTransport(port=args.tcp)
         print(f"listening on tcp {transport.host}:{transport.port}", file=sys.stderr)

@@ -81,8 +81,8 @@ def save_jsonl(dataset: TaskDataset, path: str) -> None:
             fh.write("\n")
 
 
-def load_jsonl(path: str, num_classes: int | None = None) -> TaskDataset:
-    """Read one task's responses; num_classes defaults to max(score) + 1."""
+def load_jsonl(path: str) -> TaskDataset:
+    """Read one task's responses; num_classes is max(score) + 1, at least 2."""
     items = []
     task_id = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -98,6 +98,4 @@ def load_jsonl(path: str, num_classes: int | None = None) -> TaskDataset:
                 raise ContractError(f"{path}:{line_no}: bad dataset record ({exc})") from exc
     if not items:
         raise ContractError(f"{path}: empty dataset")
-    if num_classes is None:
-        num_classes = max(item.score for item in items) + 1
-    return TaskDataset(task_id=task_id, num_classes=max(2, num_classes), items=items)
+    return TaskDataset(task_id=task_id, num_classes=max(2, max(item.score for item in items) + 1), items=items)

@@ -2,10 +2,10 @@
 
 The metrics are pure functions of label lists; the only I/O is the JSON
 eval-report document. The paired t-test's two-sided p-value comes from SciPy's
-Student t CDF (`scipy.special.stdtr`). `evaluate` scores a test split through
-the registry's module with the batched `orchestrator.score_tokens` pass, the
-same head probabilities that serving reports; like serving, it refuses a
-module trained against another backbone.
+Student t CDF (`scipy.special.stdtr`). `evaluate` scores a test split with
+the batched `orchestrator.score_tokens` pass, the same head probabilities
+that serving reports, on the module the registry admits; like serving, it
+refuses a module trained against another backbone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from scipy.special import stdtr
 
 from .backbone import tokenize
 from .errors import ContractError
-from .orchestrator import check_backbone, score_tokens
+from .orchestrator import score_tokens
 
 EVAL_BATCH_SIZE = 32
 
@@ -139,10 +139,7 @@ def evaluate(registry, backbone, task_id: str, test_split) -> EvalReport:
     """Score the test split in batches with the registry's module and assemble all metrics."""
     if not test_split:
         raise ContractError("empty test split")
-    if not backbone.frozen:
-        raise ContractError("scoring requires a frozen backbone")
-    module = registry.ensure_loaded(task_id)
-    check_backbone(module, backbone)
+    module = registry.ensure_loaded(task_id, backbone)
     tokens = [tokenize(item.text, backbone.config) for item in test_split]
     preds = score_tokens(backbone, module.adapter, module.head, tokens, EVAL_BATCH_SIZE).argmax(axis=1)
     golds = [item.score for item in test_split]

@@ -3,7 +3,9 @@
 A TaskModule is the deployable unit for one task: adapter + head in a single
 file, loaded on demand. The Registry keeps at most `capacity` modules
 resident, evicting least-recently-used; modules being scored are pinned and
-cannot be evicted until their in-flight requests finish. `score` answers one
+cannot be evicted until their in-flight requests finish. It alone admits a
+module: at the scoring backbone's precision, and only if trained against that
+backbone, checked before the module takes a slot. `score` answers one
 request; `score_tokens` scores a whole tokenized split in packed batches for
 validation and evaluation. Both end in `heads.class_probs`. The wire protocol
 is newline-delimited UTF-8 JSON over stdio or TCP.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import LoraAdapter, adapter_from_reader, adapter_to_bytes
+from .adapters import LoraAdapter, adapter_from_bytes, adapter_to_bytes
 from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
     BackboneMismatchError,
@@ -91,10 +93,7 @@ def load_task_module(path: str, precision: Precision = P32) -> TaskModule:
     with open(path, "rb") as fh:
         data = fh.read()
     r = Reader(data, MODULE_MAGIC, MODULE_VERSION)
-    adapter_blob = r.raw(r.u32())
-    ar = Reader(adapter_blob, b"MTLA", 1)
-    adapter = adapter_from_reader(ar, precision)
-    ar.finish()
+    adapter = adapter_from_bytes(r.raw(r.u32()), precision)
     num_classes = r.u16()
     d_model = adapter.targets[0].d if adapter.targets else 0
     weight = r.array(num_classes * d_model, "<f4").reshape(num_classes, d_model)
@@ -142,11 +141,10 @@ class ScoreResult:
 class Registry:
     """Manifest of task-module files with an LRU-bounded resident set."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, precision: Precision = P32):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ContractError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.precision = precision
         self.manifest: dict[str, str] = {}
         self.stats = RegistryStats()
         self._loaded: OrderedDict[str, TaskModule] = OrderedDict()
@@ -177,31 +175,41 @@ class Registry:
         with self._cond:
             return sum(m.param_bytes() for m in self._loaded.values())
 
-    def _acquire(self, task_id: str, pin: bool = False) -> tuple[TaskModule, bool]:
-        """Return (module, cache_hit), loading and possibly evicting under lock."""
+    def _acquire(self, task_id: str, backbone: Backbone | None, pin: bool = False) -> tuple[TaskModule, bool]:
+        """Return (module, cache_hit) for scoring with the frozen `backbone`; the one admission point.
+
+        A miss reads the file at `backbone.precision`. A module trained against
+        another backbone raises BackboneMismatchError before anything is pinned,
+        inserted or evicted; a refused read counts only in `loads`. With no
+        backbone the module loads at float32, the width its file stores, unchecked.
+        """
+        if backbone is not None and not backbone.frozen:
+            raise ContractError("scoring requires a frozen backbone")
         with self._cond:
             if task_id not in self.manifest:
                 raise UnknownTaskError(f"unknown task {task_id!r}")
             module = self._loaded.get(task_id)
-            if module is not None:
+            hit = module is not None
+            if not hit:
+                t0 = time.perf_counter_ns()
+                module = load_task_module(self.manifest[task_id], backbone.precision if backbone is not None else P32)
+                self.stats.load_time_us += (time.perf_counter_ns() - t0) // 1000
+                self.stats.loads += 1
+            if backbone is not None and module.metadata.backbone_fingerprint != backbone.frozen_fingerprint:
+                raise BackboneMismatchError(f"module {task_id!r} was trained against another backbone")
+            if hit:
                 self._loaded.move_to_end(task_id)
                 self.stats.hits += 1
-                if pin:
-                    self._pins[task_id] = self._pins.get(task_id, 0) + 1
-                return module, True
-            t0 = time.perf_counter_ns()
-            module = load_task_module(self.manifest[task_id], self.precision)
-            self.stats.load_time_us += (time.perf_counter_ns() - t0) // 1000
-            while len(self._loaded) >= self.capacity and not self._evictable():
-                self._cond.wait()
-            while len(self._loaded) >= self.capacity:
-                self._evict_one()
-            self._loaded[task_id] = module
-            self.stats.misses += 1
-            self.stats.loads += 1
+            else:
+                while len(self._loaded) >= self.capacity and not self._evictable():
+                    self._cond.wait()
+                while len(self._loaded) >= self.capacity:
+                    self._evict_one()
+                self._loaded[task_id] = module
+                self.stats.misses += 1
             if pin:
                 self._pins[task_id] = self._pins.get(task_id, 0) + 1
-            return module, False
+            return module, hit
 
     def _evictable(self) -> bool:
         return any(self._pins.get(tid, 0) == 0 for tid in self._loaded)
@@ -225,26 +233,17 @@ class Registry:
                 self._pins[task_id] = count
             self._cond.notify_all()
 
-    def ensure_loaded(self, task_id: str) -> TaskModule:
-        module, _ = self._acquire(task_id)
+    def ensure_loaded(self, task_id: str, backbone: Backbone | None = None) -> TaskModule:
+        module, _ = self._acquire(task_id, backbone)
         return module
-
-
-def check_backbone(module: TaskModule, backbone: Backbone) -> None:
-    """Raise BackboneMismatchError unless `module` was trained against this frozen backbone."""
-    if module.metadata.backbone_fingerprint != backbone.frozen_fingerprint:
-        raise BackboneMismatchError(f"module {module.task_id!r} was trained against another backbone")
 
 
 def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> ScoreResult:
     """Three-step scoring: encode through adapter, then head probabilities."""
-    if not backbone.frozen:
-        raise ContractError("scoring requires a frozen backbone")
     t_start = time.perf_counter_ns()
-    module, hit = registry._acquire(task_id, pin=True)
+    module, hit = registry._acquire(task_id, backbone, pin=True)
     compute_us = 0
     try:
-        check_backbone(module, backbone)
         t_compute = time.perf_counter_ns()
         tokens = tokenize(text, backbone.config)
         h = backbone.encode(tokens, module.adapter)
@@ -280,12 +279,12 @@ def save_registry_manifest(registry: Registry, path: str) -> None:
         json.dump(dict(sorted(registry.manifest.items())), fh, indent=2)
 
 
-def load_registry_manifest(path: str, capacity: int = DEFAULT_CAPACITY, precision: Precision = P32) -> Registry:
+def load_registry_manifest(path: str, capacity: int = DEFAULT_CAPACITY) -> Registry:
     with open(path, "r", encoding="utf-8") as fh:
         mapping = json.load(fh)
     if not isinstance(mapping, dict):
         raise ContractError(f"{path}: registry manifest must be a JSON object")
-    registry = Registry(capacity=capacity, precision=precision)
+    registry = Registry(capacity=capacity)
     for task_id, module_path in mapping.items():
         registry.register(task_id, module_path)
     return registry

@@ -23,7 +23,7 @@ from .adapters import attach
 from .backbone import Backbone, load_backbone, tokenize
 from .data import ScoredResponse, TaskDataset, save_jsonl, split_dataset
 from .errors import BenchError, ContractError
-from .evalkit import paired_t_test
+from .evalkit import evaluate, paired_t_test
 from .heads import new_head
 from .numerics import Rng
 from .orchestrator import Registry, load_task_module, score
@@ -252,7 +252,7 @@ def run_benchmark(
 
     workload_stats: dict = {}
     if workload:
-        registry = Registry(capacity=capacity, precision=backbone.precision)
+        registry = Registry(capacity=capacity)
         for tid in task_ids:
             registry.register(tid, module_paths[tid])
         responses = [score(registry, backbone, tid, text) for tid, text in workload]
@@ -320,21 +320,22 @@ def accuracy_gap_comparison(
 ) -> dict:
     """Test-split QWK of saved framework modules vs freshly trained full models.
 
-    Trains one real fully fine-tuned baseline per task (first n_tasks), then
-    pairs the two per-task QWK vectors with a t-test when n_tasks >= 2.
+    Scores each saved module with `evaluate` through a one-slot registry, so a
+    module trained against another backbone is refused as in serving. Trains
+    one real fully fine-tuned baseline per task (first n_tasks), then pairs the
+    two per-task QWK vectors with a t-test when n_tasks >= 2.
     """
     cfg = config or TrainConfig()
     tasks = sorted(module_paths)[:n_tasks]
+    registry = Registry(capacity=1)
     framework_qwk = []
     baseline_qwk = []
     for tid in tasks:
+        registry.register(tid, module_paths[tid])
         ds = datasets[tid]
         if ds.splits is None:
             split_dataset(ds, cfg.seed)
-        module = load_task_module(module_paths[tid], backbone.precision)
-        attach(backbone, module.adapter)  # frozen backbone, matching dimensions
-        test = [(tokenize(it.text, backbone.config), it.score) for it in ds.splits.test]
-        framework_qwk.append(_eval_split(backbone, module.adapter, module.head, test, cfg.batch_size)[1])
+        framework_qwk.append(evaluate(registry, backbone, tid, ds.splits.test).qwk)
         _, bl = train_full_baseline(backbone, ds, cfg)
         baseline_qwk.append(bl)
     result = {"tasks": tasks, "framework_qwk": framework_qwk, "baseline_qwk": baseline_qwk}

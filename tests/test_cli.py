@@ -18,10 +18,13 @@ from hypothesis import strategies as st
 
 import scoremux
 from scoremux import cli, orchestrator
-from scoremux.backbone import load_backbone
+from scoremux.adapters import LoraConfig
+from scoremux.backbone import BackboneConfig, load_backbone
 from scoremux.cli import main
+from scoremux.errors import ScoreMuxError
 from scoremux.numerics import P64
 from scoremux.orchestrator import Registry, TcpTransport, load_registry_manifest, load_task_module, score, serve
+from scoremux.trainer import TrainConfig
 
 TINY_BACKBONE = [
     "--vocab-size", "200", "--d-model", "16", "--layers", "1",
@@ -172,6 +175,17 @@ class TestBench:
         assert gap["tasks"] == ["T00", "T01"]
         assert len(gap["framework_qwk"]) == 2 and "p" in gap
 
+    def test_accuracy_baselines_for_another_backbone_exits_1(self, workdir, tmp_path, capsys):
+        other = tmp_path / "other.bin"
+        assert main(["pretrain", "--out", str(other), "--seed", "9", *TINY_BACKBONE]) == 0
+        capsys.readouterr()
+        assert main([
+            "bench", "--backbone", str(other), "--modules", str(workdir / "modules"),
+            "--data", str(workdir / "data"), "--switches", "12", "--requests", "0", "--accuracy-baselines", "1",
+        ]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("scoremux bench:") and "another backbone" in err and "\n" not in err
+
     def test_accuracy_baselines_requires_data(self, workdir, capsys):
         assert main([
             "bench", "--backbone", str(workdir / "backbone.bin"),
@@ -243,6 +257,33 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--epochs", "1"], ["--patience", "3"], ["--reg-lambda", "0"]])
+    def test_pretrain_takes_only_the_options_mlm_reads(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["pretrain", "--out", str(tmp_path / "b.bin"), *flag])
+        assert exc.value.code == 2
+
+    def test_training_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        built = {}
+
+        def fake_pretrain(bb, sequences, config, epochs):
+            built["pretrain"] = (bb.config, config)
+            return [0.0]
+
+        def fake_train(bb, dataset, train_config, lora_config):
+            built["finetune"] = (train_config, lora_config)
+            raise ScoreMuxError("stop after parsing")
+
+        monkeypatch.setattr(cli, "pretrain_backbone", fake_pretrain)
+        monkeypatch.setattr(cli, "train_task", fake_train)
+        corpus, bb, data = tmp_path / "corpus.txt", tmp_path / "bb.bin", tmp_path / "T.jsonl"
+        corpus.write_text("ein satz\n", encoding="utf-8")
+        data.write_text(json.dumps({"task": "T", "text": "x", "score": 1}) + "\n", encoding="utf-8")
+        assert main(["pretrain", "--corpus", str(corpus), "--out", str(bb)]) == 0
+        assert main(["finetune", "--backbone", str(bb), "--data", str(data), "--out", str(tmp_path / "T.mod")]) == 1
+        assert built["pretrain"] == (BackboneConfig(), TrainConfig(seed=0))
+        assert built["finetune"] == (TrainConfig(seed=0), LoraConfig())
+
     def test_eval_of_module_for_another_backbone_exits_1(self, workdir, tmp_path, capsys):
         other = tmp_path / "other.bin"
         assert main(["pretrain", "--out", str(other), "--seed", "9", *TINY_BACKBONE]) == 0
@@ -286,7 +327,7 @@ def test_float64_pipeline_takes_precision_from_checkpoint(workdir, tmp_path, mon
 
     bb = load_backbone(str(bb_path))
     assert bb.precision is P64
-    registry = Registry(capacity=1, precision=P64)
+    registry = Registry(capacity=1)
     registry.register("T00", str(mod))
     assert served["probs"] == list(score(registry, bb, "T00", "eine antwort").probs)
     doc = json.loads(out.read_text())

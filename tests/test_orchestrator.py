@@ -25,7 +25,7 @@ from scoremux.errors import (
     UnknownTaskError,
 )
 from scoremux.heads import new_head, predict
-from scoremux.numerics import Matrix, Rng
+from scoremux.numerics import P64, Matrix, Rng
 from scoremux.orchestrator import (
     ModuleMetadata,
     Registry,
@@ -424,6 +424,39 @@ class TestServe:
         with pytest.raises(BackboneMismatchError):
             score(reg, frozen_bb, "TOther", "eine antwort")
         assert reg._pins == {}  # the mismatch released its pin
+
+    def test_mismatched_module_takes_no_resident_slot(self, frozen_bb, tmp_path):
+        bad = build_module("BAD", seed=3)
+        other = Backbone(BackboneConfig(seed=CFG.seed + 1)).fingerprint()
+        bad.metadata = dataclasses.replace(bad.metadata, backbone_fingerprint=other)
+        paths = {"OK": str(tmp_path / "OK.mod"), "BAD": str(tmp_path / "BAD.mod")}
+        save_task_module(build_module("OK", seed=1, randomize=True), paths["OK"])
+        save_task_module(bad, paths["BAD"])
+        reg = fresh_registry(paths, capacity=1)
+        lines = [self.make_request(i, tid) for i, tid in enumerate(["OK", "BAD", "OK", "BAD"])]
+        stdout = io.StringIO()
+        assert serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout)) == 4
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert responses[0]["task"] == "OK" and responses[0]["cache_hit"] is False
+        assert responses[1] == {"id": 1, "error": "backbone_mismatch"}
+        assert responses[2]["task"] == "OK" and responses[2]["cache_hit"] is True
+        assert responses[3] == {"id": 3, "error": "backbone_mismatch"}
+        assert reg.loaded_ids() == ["OK"]
+        stats = reg.stats  # the two refused reads count as loads, not as hits, misses or evictions
+        assert (stats.hits, stats.misses, stats.evictions, stats.loads) == (1, 1, 0, 3)
+
+    def test_float64_backbone_scores_through_default_registry(self, tmp_path):
+        bb64 = Backbone(CFG, P64).freeze()
+        module = build_module("T64", seed=4, randomize=True)
+        module.metadata = dataclasses.replace(module.metadata, backbone_fingerprint=bb64.frozen_fingerprint)
+        paths = {"T64": str(tmp_path / "T64.mod")}
+        save_task_module(module, paths["T64"])
+        stdout = io.StringIO()
+        request = io.StringIO(self.make_request(1, "T64") + "\n")
+        assert serve(fresh_registry(paths, capacity=2), bb64, StdioTransport(request, stdout)) == 1
+        served = json.loads(stdout.getvalue())
+        expected = score(fresh_registry(paths, capacity=2), bb64, "T64", "eine antwort")
+        assert served["probs"] == list(expected.probs)
 
     def test_nonfinite_head_is_internal_error(self, module_dir, frozen_bb, tmp_path):
         module = build_module("TNaN", seed=3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -229,3 +230,26 @@ class TestFullBaseline:
         assert gap["tasks"] == ["T00", "T01"]
         assert len(gap["framework_qwk"]) == len(gap["baseline_qwk"]) == 2
         assert "p" in gap and 0.0 <= gap["p"] <= 1.0
+
+    def test_accuracy_gap_refuses_modules_for_another_backbone(self, tmp_path):
+        from scoremux.errors import BackboneMismatchError
+        from scoremux.workbench import accuracy_gap_comparison
+
+        cfg = BackboneConfig(vocab_size=150, d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32, seed=1)
+        trained_on = Backbone(cfg).freeze()
+        other = Backbone(dataclasses.replace(cfg, seed=2)).freeze()
+        paths, datasets = {}, {}
+        for i in range(2):
+            tid = f"T{i:02d}"
+            datasets[tid] = generate_task(TaskSpec(tid, num_classes=2, n_items=60, difficulty="easy", seed=6 + i))
+            module = TaskModule(
+                tid, new_adapter(tid, cfg, rng=Rng(i)), new_head(tid, 2, cfg.d_model, Rng(i)),
+                ModuleMetadata(2, 0, trained_on.frozen_fingerprint),
+            )
+            paths[tid] = str(tmp_path / f"{tid}.mod")
+            save_task_module(module, paths[tid])
+        with pytest.raises(BackboneMismatchError):
+            accuracy_gap_comparison(
+                other, paths, datasets, n_tasks=2,
+                config=TrainConfig(learning_rate=5e-3, batch_size=16, max_epochs=2, seed=3),
+            )
