@@ -8,8 +8,8 @@ parameters.
 The forward pass runs on a packed batch: the sequences' rows are stacked
 into one (sum of lengths x d_model) matrix, so each projection, FFN and
 layer norm is one 2-D op per layer for the whole batch, and attention is one
-`segment_attention` op that keeps every sequence to its own rows. A single
-sequence is a batch of one and runs with no padding and no mask.
+`segment_attention` op that attends each sequence on its own rows, with no
+padding or mask. A single sequence is a batch of one.
 
 Tokenization is a deterministic surrogate for a learned subword vocabulary:
 lowercase, split on whitespace/punctuation, then FNV-1a-64 hash each token
@@ -293,8 +293,7 @@ def mlm_step(backbone: Backbone, batch: list[TokenSeq], rng: Rng) -> Matrix:
     logits = matmul(gather_rows(hidden, rows), backbone.params["mlm_head"])
     onehot = np.zeros((len(rows), backbone.config.vocab_size), dtype=backbone.precision.dtype)
     onehot[np.arange(len(rows)), targets] = 1.0
-    total = cross_entropy(softmax(logits), Matrix(onehot), reduction="sum")
-    return scale_op(total, 1.0 / len(rows))
+    return cross_entropy(softmax(logits), Matrix(onehot))
 
 
 # -- checkpoint I/O -----------------------------------------------------------

@@ -25,7 +25,7 @@ from .orchestrator import (
     StdioTransport,
     TcpTransport,
     load_registry_manifest,
-    load_task_module,
+    read_module_task_id,
     save_task_module,
     serve,
 )
@@ -171,7 +171,7 @@ def cmd_eval(args) -> int:
     bb = load_backbone(args.backbone)
     dataset = load_jsonl(args.data)
     split_dataset(dataset, args.seed)
-    task_id = load_task_module(args.module).task_id
+    task_id = read_module_task_id(args.module)
     registry = Registry(capacity=1)
     registry.register(task_id, args.module)
     report = evaluate(registry, bb, task_id, dataset.splits.test)
@@ -191,7 +191,7 @@ def cmd_bench(args) -> int:
     for name in sorted(os.listdir(args.modules)):
         if name.endswith(".mod"):
             path = os.path.join(args.modules, name)
-            module_paths[load_task_module(path).task_id] = path
+            module_paths[read_module_task_id(path)] = path
     if not module_paths:
         print("bench: no .mod files found", file=sys.stderr)
         return 1

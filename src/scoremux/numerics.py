@@ -13,6 +13,7 @@ composable on the tape; use ``.item()`` to read them out.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import threading
 from typing import Callable, Iterable, Sequence
@@ -382,11 +383,9 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, lengths: Sequence[int], n
     head blocks, each with softmax(q_h k_h^T / sqrt(d/n_heads)) v_h, and the
     head outputs sit side by side in the (N x d) result.
 
-    Several segments are padded to the longest one as a (B, H, Lmax, d/H)
-    stack, with the padded keys masked out of every softmax; a single segment
-    runs unpadded on views of the inputs. One tape node: the backward shares
-    the softmax gradient between dQ and dK and computes each of dQ, dK and dV
-    at most once per backward.
+    Each segment runs on (H, L, d/H) views of its own rows, so nothing is
+    padded or masked. One tape node: the forward keeps each segment's softmax
+    probabilities, and each VJP computes only its own input's gradient.
     """
     _check_same_precision(q, k, "segment_attention")
     _check_same_precision(q, v, "segment_attention")
@@ -401,69 +400,40 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, lengths: Sequence[int], n
     dh = d // n_heads
     dtype = q.data.dtype
     c = np.asarray(1.0 / math.sqrt(dh), dtype=dtype)
-    b, lmax = lens.size, int(lens.max())
+    sizes = lens.tolist()
+    segments = [slice(hi - ln, hi) for ln, hi in zip(sizes, itertools.accumulate(sizes))]
 
-    if b == 1:
-        def heads(a: np.ndarray) -> np.ndarray:  # (n, d) -> (1, H, n, dh) view
-            return a.reshape(1, n, n_heads, dh).transpose(0, 2, 1, 3)
+    def heads(a: np.ndarray, rows: slice) -> np.ndarray:  # (n, d) rows -> (H, L, dh); a view of a contiguous a
+        return a[rows].reshape(-1, n_heads, dh).transpose(1, 0, 2)
 
-        def merge(a: np.ndarray) -> np.ndarray:
-            return a[0].transpose(1, 0, 2).reshape(n, d)
+    qd, kd, vd = q.data, k.data, v.data
+    out = np.empty((n, d), dtype=dtype)
+    probs = []
+    for rows in segments:
+        s = (heads(qd, rows) @ heads(kd, rows).transpose(0, 2, 1)) * c
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        heads(out, rows)[...] = p @ heads(vd, rows)
+        probs.append(p)
 
-        key_bias = None
-    else:
-        seg = np.repeat(np.arange(b), lens)
-        pos = np.arange(n) - np.repeat(np.cumsum(lens) - lens, lens)
+    def per_segment(grad: Callable) -> Callable[[np.ndarray], np.ndarray]:
+        # grad(rows, p, g_h) is one segment's (H, L, dh) share of the gradient
+        def vjp(g: np.ndarray) -> np.ndarray:
+            acc = np.empty((n, d), dtype=dtype)
+            for rows, p in zip(segments, probs):
+                heads(acc, rows)[...] = grad(rows, p, heads(g, rows))
+            return acc
 
-        def heads(a: np.ndarray) -> np.ndarray:  # (n, d) -> zero-padded (b, H, lmax, dh)
-            out = np.zeros((b, n_heads, lmax, dh), dtype=dtype)
-            out[seg, :, pos] = a.reshape(n, n_heads, dh)
-            return out
+        return vjp
 
-        def merge(a: np.ndarray) -> np.ndarray:
-            return a[seg, :, pos].reshape(n, d)
+    def score_grad(rows: slice, p: np.ndarray, gh: np.ndarray) -> np.ndarray:
+        dp = gh @ heads(vd, rows).transpose(0, 2, 1)
+        return p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
 
-        key_bias = np.where(np.arange(lmax) < lens[:, None], 0.0, -np.inf).astype(dtype)[:, None, None, :]
-
-    s = (heads(q.data) @ heads(k.data).transpose(0, 1, 3, 2)) * c
-    if key_bias is not None:
-        s += key_bias
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    del s, e
-    out = Matrix(merge(p @ heads(v.data)))
-
-    # the backward keeps p and re-derives the padded q, k, v and g from the
-    # packed matrices; `shared` holds what dQ and dK have in common for one g
-    shared: dict = {}
-
-    def upstream(g: np.ndarray) -> dict:
-        if shared.get("g") is not g:
-            shared.clear()
-            shared["g"] = g
-            shared["gh"] = heads(g)
-        return shared
-
-    def score_grad(g: np.ndarray) -> np.ndarray:
-        st = upstream(g)
-        if "ds" not in st:
-            dp = st["gh"] @ heads(v.data).transpose(0, 1, 3, 2)
-            st["ds"] = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-        return st["ds"]
-
-    def vjp_q(g: np.ndarray) -> np.ndarray:
-        return merge(score_grad(g) @ heads(k.data))
-
-    def vjp_k(g: np.ndarray) -> np.ndarray:
-        return merge(score_grad(g).transpose(0, 1, 3, 2) @ heads(q.data))
-
-    def vjp_v(g: np.ndarray) -> np.ndarray:
-        # the tape calls vjps in input order, so v's is the last one for this g
-        gv = merge(p.transpose(0, 1, 3, 2) @ upstream(g)["gh"])
-        shared.clear()
-        return gv
-
-    return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v))
+    vjp_q = per_segment(lambda rows, p, gh: score_grad(rows, p, gh) @ heads(kd, rows))
+    vjp_k = per_segment(lambda rows, p, gh: score_grad(rows, p, gh).transpose(0, 2, 1) @ heads(qd, rows))
+    vjp_v = per_segment(lambda rows, p, gh: p.transpose(0, 2, 1) @ gh)
+    return _record(Matrix(out), (q, k, v), (vjp_q, vjp_k, vjp_v))
 
 
 def layer_norm(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matrix:
@@ -592,19 +562,17 @@ def frobenius_norm(m: Matrix) -> Matrix:
     return _record(out, (m,), (vjp,))
 
 
-def cross_entropy(probs: Matrix, onehot: Matrix, reduction: str = "mean") -> Matrix:
-    """Cross-entropy of predicted probabilities against one-hot targets.
+def cross_entropy(probs: Matrix, onehot: Matrix) -> Matrix:
+    """Mean cross-entropy of predicted probabilities against one-hot targets.
 
-    ``-(1/N) sum_j sum_k y_jk log(max(p_jk, 1e-12))`` for reduction="mean";
-    reduction="sum" drops the 1/N. Targets are constants (no gradient).
+    ``-(1/N) sum_j sum_k y_jk log(max(p_jk, 1e-12))``. Targets are constants
+    (no gradient).
     """
     if probs.shape != onehot.shape:
         raise ShapeError(f"cross_entropy: probs {probs.shape} vs labels {onehot.shape}")
-    if reduction not in ("mean", "sum"):
-        raise ContractError(f"cross_entropy: unknown reduction {reduction!r}")
     p = probs.data
     y = onehot.data
-    n = p.shape[0] if reduction == "mean" else 1
+    n = p.shape[0]
     clamped = np.maximum(p, LOG_CLAMP)
     total = -(y * np.log(clamped)).sum(dtype=np.float64) / n
     out = Matrix(np.asarray(total, dtype=p.dtype).reshape(1, 1))

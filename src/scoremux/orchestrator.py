@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
 import time
 from collections import OrderedDict
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import LoraAdapter, adapter_from_bytes, adapter_to_bytes
+from .adapters import ADAPTER_MAGIC, ADAPTER_VERSION, LoraAdapter, adapter_from_bytes, adapter_to_bytes
 from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
     BackboneMismatchError,
@@ -40,6 +41,8 @@ from .serialize import Reader, Writer
 MODULE_MAGIC = b"MTTM"
 MODULE_VERSION = 1
 DEFAULT_CAPACITY = 4
+# module magic and version, adapter length, then the embedded adapter's magic, version and task-id length
+_MODULE_HEADER = struct.Struct("<4sHI4sHH")
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,29 @@ def load_task_module(path: str, precision: Precision = P32) -> TaskModule:
     )
 
 
+def read_module_task_id(path: str) -> str:
+    """The task id in a module file's header, read without parsing or checksumming the rest."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(_MODULE_HEADER.size)
+            if len(header) < _MODULE_HEADER.size:
+                raise RegistrationError(f"{path}: not a task-module file")
+            magic, version, _, adapter_magic, adapter_version, id_len = _MODULE_HEADER.unpack(header)
+            raw_id = fh.read(id_len)
+    except OSError as exc:
+        raise RegistrationError(f"cannot read {path}: {exc}") from exc
+    if magic != MODULE_MAGIC or adapter_magic != ADAPTER_MAGIC:
+        raise RegistrationError(f"{path}: not a task-module file")
+    if (version, adapter_version) != (MODULE_VERSION, ADAPTER_VERSION):
+        raise RegistrationError(f"{path}: unsupported version {version}.{adapter_version}")
+    if len(raw_id) != id_len:
+        raise RegistrationError(f"{path}: truncated task id")
+    try:
+        return raw_id.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RegistrationError(f"{path}: task id is not UTF-8") from exc
+
+
 # -- registry -------------------------------------------------------------------
 
 
@@ -152,19 +178,12 @@ class Registry:
         self._cond = threading.Condition()
 
     def register(self, task_id: str, module_path: str) -> None:
-        """Add a module file to the manifest; nothing is loaded yet."""
+        """Add a module file to the manifest if its header names `task_id`; nothing is loaded yet."""
         if task_id in self.manifest:
             raise DuplicateTaskError(f"task {task_id!r} already registered")
-        try:
-            with open(module_path, "rb") as fh:
-                header = fh.read(6)
-        except OSError as exc:
-            raise RegistrationError(f"cannot read {module_path}: {exc}") from exc
-        if len(header) < 6 or header[:4] != MODULE_MAGIC:
-            raise RegistrationError(f"{module_path}: not a task-module file")
-        version = int.from_bytes(header[4:6], "little")
-        if version != MODULE_VERSION:
-            raise RegistrationError(f"{module_path}: unsupported version {version}")
+        file_task_id = read_module_task_id(module_path)
+        if file_task_id != task_id:
+            raise RegistrationError(f"{module_path} holds task {file_task_id!r}, not {task_id!r}")
         self.manifest[task_id] = module_path
 
     def loaded_ids(self) -> list[str]:
@@ -178,10 +197,12 @@ class Registry:
     def _acquire(self, task_id: str, backbone: Backbone | None, pin: bool = False) -> tuple[TaskModule, bool]:
         """Return (module, cache_hit) for scoring with the frozen `backbone`; the one admission point.
 
-        A miss reads the file at `backbone.precision`. A module trained against
-        another backbone raises BackboneMismatchError before anything is pinned,
-        inserted or evicted; a refused read counts only in `loads`. With no
-        backbone the module loads at float32, the width its file stores, unchecked.
+        A miss reads the file at `backbone.precision`; so does a hit at another
+        width, whose copy then gives up its slot to the new one. A module trained
+        against another backbone raises BackboneMismatchError before anything is
+        pinned, inserted or evicted; a refused read counts only in `loads`. With no
+        backbone any resident copy is a hit, and a miss loads at float32, the width
+        its file stores, unchecked.
         """
         if backbone is not None and not backbone.frozen:
             raise ContractError("scoring requires a frozen backbone")
@@ -189,7 +210,7 @@ class Registry:
             if task_id not in self.manifest:
                 raise UnknownTaskError(f"unknown task {task_id!r}")
             module = self._loaded.get(task_id)
-            hit = module is not None
+            hit = module is not None and (backbone is None or module.head.weight.precision is backbone.precision)
             if not hit:
                 t0 = time.perf_counter_ns()
                 module = load_task_module(self.manifest[task_id], backbone.precision if backbone is not None else P32)
@@ -201,6 +222,7 @@ class Registry:
                 self._loaded.move_to_end(task_id)
                 self.stats.hits += 1
             else:
+                self._loaded.pop(task_id, None)  # a copy at another width gives up its slot
                 while len(self._loaded) >= self.capacity and not self._evictable():
                     self._cond.wait()
                 while len(self._loaded) >= self.capacity:
@@ -351,6 +373,7 @@ class TcpTransport:
         self._stop = threading.Event()
         self._served = 0
         self._served_lock = threading.Lock()
+        self._threads: list[threading.Thread] = []  # one per connection; finished ones go at each accept
 
     def stop(self) -> None:
         self._stop.set()
@@ -363,7 +386,6 @@ class TcpTransport:
 
     def run(self, handler) -> int:
         """Serve until stopped; returns the number of requests answered."""
-        threads = []
         try:
             while not self._stop.is_set():
                 conn, _ = self._sock.accept()
@@ -372,9 +394,9 @@ class TcpTransport:
                     break
                 t = threading.Thread(target=self._serve_conn, args=(conn, handler), daemon=True)
                 t.start()
-                threads.append(t)
+                self._threads = [c for c in self._threads if c.is_alive()] + [t]
         finally:
-            for t in threads:
+            for t in self._threads:
                 t.join(timeout=5)
             self._sock.close()
         with self._served_lock:

@@ -112,8 +112,8 @@ def one_hot(labels, num_classes: int, precision) -> Matrix:
     return Matrix(arr)
 
 
-def cross_entropy(probs: Matrix, labels: Matrix, reduction: str = "mean") -> Matrix:
-    """Mean (or summed) cross-entropy; validates rows are distributions/one-hot."""
+def cross_entropy(probs: Matrix, labels: Matrix) -> Matrix:
+    """Mean cross-entropy; validates rows are distributions/one-hot."""
     if probs.shape != labels.shape:
         raise ShapeError(f"cross_entropy: probs {probs.shape} vs labels {labels.shape}")
     row_sums = probs.data.sum(axis=1)
@@ -122,7 +122,7 @@ def cross_entropy(probs: Matrix, labels: Matrix, reduction: str = "mean") -> Mat
     lab = labels.data
     if not (np.isin(lab, (0.0, 1.0)).all() and np.all(lab.sum(axis=1) == 1.0)):
         raise ContractError("cross_entropy: labels must be one-hot rows")
-    return _ce_op(probs, labels, reduction)
+    return _ce_op(probs, labels)
 
 
 def total_loss(ce: Matrix, adapter: LoraAdapter, reg_lambda: float) -> Matrix:
@@ -348,16 +348,8 @@ def train_task(
     slots = adapter_head_slots(adapter, head)
     stopper = EarlyStopper(cfg.patience)
 
-    token_cache: dict[str, TokenSeq] = {}
-
-    def toks(text: str) -> TokenSeq:
-        seq = token_cache.get(text)
-        if seq is None:
-            seq = token_cache[text] = tokenize(text, bcfg)
-        return seq
-
-    train_examples = [(toks(it.text), it.score) for it in splits.train]
-    val_examples = [(toks(it.text), it.score) for it in splits.val]
+    train_examples = [(tokenize(it.text, bcfg), it.score) for it in splits.train]
+    val_examples = [(tokenize(it.text, bcfg), it.score) for it in splits.val]
 
     epoch_stats: list[EpochStats] = []
     best_snapshot = [s.get() for s in slots]

@@ -210,6 +210,13 @@ class TestServe:
         assert doc["id"] == 7 and doc["task"] == "T01"
         assert len(doc["probs"]) >= 2
 
+    def test_manifest_entry_holding_another_task_exits_1(self, workdir, tmp_path, capsys):
+        manifest = tmp_path / "registry.json"
+        manifest.write_text(json.dumps({"T00": str(workdir / "modules" / "T01.mod")}))
+        assert main(["serve", "--backbone", str(workdir / "backbone.bin"), "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("scoremux serve:") and "'T01', not 'T00'" in err
+
 
 class TestCompare:
     def test_paired_t_test_output(self, tmp_path, capsys):
@@ -355,6 +362,15 @@ def serve_subprocess(workdir, manifest, stdin: bytes, encoding: str | None) -> l
     )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return [json.loads(line) for line in proc.stdout.decode().splitlines()]
+
+
+def test_benchmark_tracer_installs():
+    """Every name perfbench's tracer wraps still exists (install rewrites module globals, hence the subprocess)."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(scoremux.__file__)))
+    code = "import tracer; tracer.install(tracer.Recorder())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
 
 def without_latency(doc: dict) -> dict:

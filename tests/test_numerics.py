@@ -295,8 +295,6 @@ class TestPrimitiveGradients:
         onehot = Matrix(np.eye(c)[rng.integers(0, c, size=n)].astype(np.float64))
         f = lambda mats: cross_entropy(softmax(mats[0]), onehot)
         gradcheck(f, [rand_matrix(rng, n, c, scl=2.0)])
-        g = lambda mats: cross_entropy(softmax(mats[0]), onehot, reduction="sum")
-        gradcheck(g, [rand_matrix(rng, n, c, scl=2.0)])
 
 
 def reference_segment_attention(q, k, v, lengths, n_heads):

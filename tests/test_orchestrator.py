@@ -149,6 +149,12 @@ class TestRegister:
             reg.register("T01", str(tmp_path / "missing.mod"))
         assert reg.manifest == {}
 
+    def test_entry_naming_another_tasks_file_rejected(self, module_dir):
+        reg = Registry()
+        with pytest.raises(RegistrationError, match="'T01', not 'T00'"):
+            reg.register("T00", module_dir["T01"])
+        assert reg.manifest == {}
+
     def test_register_then_score_loads_once(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir)
         score(reg, frozen_bb, "T03", "eine antwort")
@@ -458,6 +464,21 @@ class TestServe:
         expected = score(fresh_registry(paths, capacity=2), bb64, "T64", "eine antwort")
         assert served["probs"] == list(expected.probs)
 
+    def test_resident_float32_copy_reloaded_for_float64_backbone(self, tmp_path):
+        bb64 = Backbone(CFG, P64).freeze()
+        module = build_module("T64", seed=4, randomize=True)
+        module.metadata = dataclasses.replace(module.metadata, backbone_fingerprint=bb64.frozen_fingerprint)
+        paths = {"T64": str(tmp_path / "T64.mod")}
+        save_task_module(module, paths["T64"])
+        reg = fresh_registry(paths, capacity=1)
+        reg.ensure_loaded("T64")  # no backbone: resident at float32
+        served = json.loads(handle_request_line(reg, bb64, self.make_request(1, "T64")))
+        expected = score(fresh_registry(paths, capacity=1), bb64, "T64", "eine antwort")
+        assert served["probs"] == list(expected.probs) and served["cache_hit"] is False
+        assert reg.loaded_ids() == ["T64"]
+        assert (reg.stats.loads, reg.stats.evictions) == (2, 0)
+        assert reg.ensure_loaded("T64").head.weight.precision is P64  # with no backbone, any width is a hit
+
     def test_nonfinite_head_is_internal_error(self, module_dir, frozen_bb, tmp_path):
         module = build_module("TNaN", seed=3)
         module.head.weight = Matrix(np.full(module.head.weight.shape, np.nan, dtype=np.float32))
@@ -493,6 +514,27 @@ class TestServe:
                             assert doc["error"] == "unknown_task"
                         else:
                             assert doc["task"] == task
+        finally:
+            transport.stop()
+            server.join(timeout=5)
+        assert not server.is_alive()
+
+    def test_tcp_finished_connection_threads_are_dropped(self, module_dir, frozen_bb):
+        reg = fresh_registry(module_dir)
+        transport = TcpTransport(port=0)
+        server = threading.Thread(target=serve, args=(reg, frozen_bb, transport), daemon=True)
+        server.start()
+        try:
+            for rid in range(10):
+                with socket.create_connection(("127.0.0.1", transport.port), timeout=5) as conn:
+                    conn.sendall((self.make_request(rid, "T01") + "\n").encode())
+                    with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+                        assert json.loads(reader.readline())["id"] == rid
+                deadline = time.monotonic() + 5
+                while any(t.is_alive() for t in transport._threads) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            # each accept dropped the finished threads before it: only the latest connection's is left
+            assert len(transport._threads) == 1
         finally:
             transport.stop()
             server.join(timeout=5)
