@@ -41,7 +41,7 @@ from .backbone import (
 from .data import ScoredResponse, SplitView, TaskDataset, load_jsonl, save_jsonl, split_dataset
 from .evalkit import EvalReport, accuracy, evaluate, macro_f1, paired_t_test, qwk
 from .heads import ClassificationHead, head_forward, new_head, predict
-from .numerics import Matrix, P32, P64, Precision, Rng, Tape, matrix
+from .numerics import Matrix, P32, P64, Precision, Rng, Tape, cross_entropy, matrix
 from .orchestrator import (
     Registry,
     ScoreResult,
@@ -53,7 +53,7 @@ from .orchestrator import (
     score,
     serve,
 )
-from .trainer import TrainConfig, TrainReport, cross_entropy, pretrain_backbone, total_loss, train_task
+from .trainer import TrainConfig, TrainReport, pretrain_backbone, total_loss, train_task
 from .workbench import BenchReport, TaskSpec, default_specs, generate_tasks, run_benchmark
 
 __version__ = "0.1.0"
@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     # numerics
-    "Matrix", "matrix", "Precision", "P32", "P64", "Rng", "Tape",
+    "Matrix", "matrix", "Precision", "P32", "P64", "Rng", "Tape", "cross_entropy",
     # backbone
     "Backbone", "BackboneConfig", "TokenSeq", "tokenize",
     "mlm_step", "save_backbone", "load_backbone",
@@ -73,7 +73,7 @@ __all__ = [
     # data
     "ScoredResponse", "TaskDataset", "SplitView", "split_dataset", "save_jsonl", "load_jsonl",
     # trainer
-    "TrainConfig", "TrainReport", "train_task", "pretrain_backbone", "cross_entropy", "total_loss",
+    "TrainConfig", "TrainReport", "train_task", "pretrain_backbone", "total_loss",
     # orchestrator
     "TaskModule", "Registry", "ScoreResult", "score", "serve",
     "StdioTransport", "TcpTransport", "save_task_module", "load_task_module",

@@ -43,7 +43,6 @@ from .numerics import (
     matmul,
     scale as scale_op,
     segment_attention,
-    softmax,
 )
 from .serialize import Reader, Writer
 
@@ -54,7 +53,6 @@ UNK_ID = 3
 RESERVED_IDS = 4
 
 MASK_FRACTION = 0.15
-LN_EPS = 1e-5
 
 CHECKPOINT_MAGIC = b"MTBB"
 CHECKPOINT_VERSION = 1
@@ -214,9 +212,9 @@ class Backbone:
             v = self._project(x, p[pre + "wv"], p[pre + "bv"], adapter, i, "v")
             ctx = segment_attention(q, k, v, lengths, cfg.n_heads)
             attended = add_row(matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
-            x = layer_norm(add(x, attended), p[pre + "ln1.gain"], p[pre + "ln1.bias"], LN_EPS)
+            x = layer_norm(add(x, attended), p[pre + "ln1.gain"], p[pre + "ln1.bias"])
             ff = add_row(matmul(gelu(add_row(matmul(x, p[pre + "w1"]), p[pre + "b1"])), p[pre + "w2"]), p[pre + "b2"])
-            x = layer_norm(add(x, ff), p[pre + "ln2.gain"], p[pre + "ln2.bias"], LN_EPS)
+            x = layer_norm(add(x, ff), p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         return x
 
     def _project(self, x: Matrix, w: Matrix, b: Matrix, adapter, layer: int, kind: str) -> Matrix:
@@ -291,9 +289,7 @@ def mlm_step(backbone: Backbone, batch: list[TokenSeq], rng: Rng) -> Matrix:
         raise ContractError("mlm_step: no maskable (non-reserved) positions in batch")
     hidden = backbone.hidden_states(masked)
     logits = matmul(gather_rows(hidden, rows), backbone.params["mlm_head"])
-    onehot = np.zeros((len(rows), backbone.config.vocab_size), dtype=backbone.precision.dtype)
-    onehot[np.arange(len(rows)), targets] = 1.0
-    return cross_entropy(softmax(logits), Matrix(onehot))
+    return cross_entropy(logits, targets)
 
 
 # -- checkpoint I/O -----------------------------------------------------------

@@ -250,8 +250,9 @@ def cmd_compare(args) -> int:
     for path in (args.a, args.b):
         with open(path, "r", encoding="utf-8") as fh:
             vec = json.load(fh)
-        if not isinstance(vec, list) or not all(isinstance(x, (int, float)) for x in vec):
-            print(f"compare: {path} must hold a JSON array of numbers", file=sys.stderr)
+        # finite numbers only: no booleans, NaN, Infinity or values beyond the float range
+        if not isinstance(vec, list) or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in vec):
+            print(f"compare: {path} must hold a JSON array of finite numbers", file=sys.stderr)
             return 1
         vectors.append([float(x) for x in vec])
     t, p = paired_t_test(vectors[0], vectors[1])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import Matrix, P32, Precision, Rng, add_row, matmul, transpose
+from .numerics import Matrix, P32, Precision, Rng, add_row, matmul, softmax, transpose
 
 MIN_CLASSES = 2
 MAX_CLASSES = 6
@@ -83,8 +83,7 @@ def class_probs(head: ClassificationHead, h: Matrix) -> np.ndarray:
     z = head_forward(head, h).data.astype(np.float64)
     if not np.isfinite(z).all():
         raise ContractError("class_probs: non-finite logits")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(Matrix(z)).data
 
 
 def predict(head: ClassificationHead, h: Matrix) -> tuple[int, np.ndarray]:

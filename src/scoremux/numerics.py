@@ -53,7 +53,7 @@ __all__ = [
     "splitmix64",
 ]
 
-LOG_CLAMP = 1e-12
+LAYER_NORM_EPS = 1e-5
 
 
 class Precision(enum.Enum):
@@ -362,7 +362,10 @@ def gelu(a: Matrix) -> Matrix:
 
 
 def softmax(v: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction for stability; recorded on the tape."""
+    """Row-wise softmax with max-subtraction for stability; recorded on the tape.
+
+    Training's loss takes logits (`cross_entropy`); `heads.class_probs` reports through this.
+    """
     x = v.data
     e = np.exp(x - x.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
@@ -436,8 +439,8 @@ def segment_attention(q: Matrix, k: Matrix, v: Matrix, lengths: Sequence[int], n
     return _record(Matrix(out), (q, k, v), (vjp_q, vjp_k, vjp_v))
 
 
-def layer_norm(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matrix:
-    """Row-wise layer normalization: gain * (x - mean) / sqrt(var + eps) + bias."""
+def layer_norm(x: Matrix, gain: Matrix, bias: Matrix) -> Matrix:
+    """Row-wise layer normalization: gain * (x - mean) / sqrt(var + LAYER_NORM_EPS) + bias."""
     _check_same_precision(x, gain, "layer_norm")
     _check_same_precision(x, bias, "layer_norm")
     if gain.shape != (1, x.cols) or bias.shape != (1, x.cols):
@@ -447,7 +450,7 @@ def layer_norm(x: Matrix, gain: Matrix, bias: Matrix, eps: float = 1e-5) -> Matr
     xd = x.data
     mu = xd.mean(axis=1, keepdims=True)
     var = xd.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=xd.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LAYER_NORM_EPS, dtype=xd.dtype))
     xhat = (xd - mu) * inv
     out = Matrix(xhat * gain.data + bias.data)
     gd = gain.data
@@ -562,23 +565,31 @@ def frobenius_norm(m: Matrix) -> Matrix:
     return _record(out, (m,), (vjp,))
 
 
-def cross_entropy(probs: Matrix, onehot: Matrix) -> Matrix:
-    """Mean cross-entropy of predicted probabilities against one-hot targets.
+def cross_entropy(logits: Matrix, labels: Sequence[int]) -> Matrix:
+    """Mean softmax cross-entropy of logit rows against class indices, as one tape node.
 
-    ``-(1/N) sum_j sum_k y_jk log(max(p_jk, 1e-12))``. Targets are constants
-    (no gradient).
+    ``-(1/N) sum_i log softmax(logits)[i, labels[i]]``, from max-subtracted
+    logits and summed in float64. ``labels`` holds one class index in [0, C)
+    per row; they are constants (no gradient). The VJP is
+    ``(softmax(logits) - onehot(labels)) / N``.
     """
-    if probs.shape != onehot.shape:
-        raise ShapeError(f"cross_entropy: probs {probs.shape} vs labels {onehot.shape}")
-    p = probs.data
-    y = onehot.data
-    n = p.shape[0]
-    clamped = np.maximum(p, LOG_CLAMP)
-    total = -(y * np.log(clamped)).sum(dtype=np.float64) / n
-    out = Matrix(np.asarray(total, dtype=p.dtype).reshape(1, 1))
+    n, c = logits.shape
+    y = np.asarray(labels)
+    if y.shape != (n,) or y.dtype.kind not in "iu":
+        raise ContractError(f"cross_entropy: need {n} integer class indices, got shape {y.shape} of {y.dtype}")
+    if y.min() < 0 or y.max() >= c:
+        raise ContractError(f"cross_entropy: class index out of range [0, {c})")
+    x = logits.data
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    total = (np.log(sums[:, 0]) - shifted[rows, y]).sum(dtype=np.float64) / n
+    out = Matrix(np.asarray(total, dtype=x.dtype).reshape(1, 1))
 
     def vjp(g: np.ndarray) -> np.ndarray:
-        grad = np.where(p > LOG_CLAMP, -y / clamped, 0.0) / n
-        return (g[0, 0] * grad).astype(p.dtype)
+        grad = e / sums
+        grad[rows, y] -= 1.0
+        return grad * (g[0, 0] / n)
 
-    return _record(out, (probs,), (vjp,))
+    return _record(out, (logits,), (vjp,))

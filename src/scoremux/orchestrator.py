@@ -14,6 +14,7 @@ is newline-delimited UTF-8 JSON over stdio or TCP.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 import threading
@@ -315,11 +316,19 @@ def load_registry_manifest(path: str, capacity: int = DEFAULT_CAPACITY) -> Regis
 # -- serving --------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """JSON number or constant to float; NaN, Infinity and overflow raise, so answers stay strict JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def handle_request_line(registry: Registry, backbone: Backbone, line: str) -> str:
-    """One JSON request record in, one JSON response record out; never raises."""
+    """One strict-JSON request record in, one JSON response record out; never raises."""
     try:
-        req = json.loads(line)
-    except (ValueError, RecursionError):  # bad JSON or an over-long integer; nesting too deep to parse
+        req = json.loads(line, parse_float=_finite_float, parse_constant=_finite_float)
+    except (ValueError, RecursionError):  # bad JSON, NaN/Infinity or an over-long integer; nesting too deep
         return json.dumps({"error": "malformed_request"})
     rid = req.get("id") if isinstance(req, dict) else None
     if not isinstance(req, dict) or not isinstance(req.get("task"), str) or not isinstance(req.get("text"), str):
@@ -411,13 +420,9 @@ class TcpTransport:
             conn.makefile("r", encoding="utf-8", errors="replace", newline="\n") as reader,
             conn.makefile("w", encoding="utf-8", newline="\n") as writer,
         ):
-            for line in reader:
-                if not line.strip():
-                    continue
-                writer.write(handler(line) + "\n")
-                writer.flush()
-                with self._served_lock:
-                    self._served += 1
+            served = StdioTransport(reader, writer).run(handler)
+        with self._served_lock:
+            self._served += served
 
 
 def serve(registry: Registry, backbone: Backbone, transport) -> int:

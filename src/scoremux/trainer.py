@@ -24,21 +24,10 @@ import numpy as np
 from .adapters import LoraAdapter, LoraConfig, new_adapter
 from .backbone import Backbone, TokenSeq, mlm_step, param_order, tokenize
 from .data import TaskDataset, split_dataset
-from .errors import ContractError, FrozenViolationError, ShapeError
+from .errors import ContractError, FrozenViolationError
 from .evalkit import qwk
 from .heads import ClassificationHead, head_forward, new_head
-from .numerics import (
-    Matrix,
-    Rng,
-    Tape,
-    add,
-    frobenius_norm,
-    matmul,
-    scale,
-    softmax,
-    square,
-)
-from .numerics import cross_entropy as _ce_op
+from .numerics import Matrix, Rng, Tape, add, cross_entropy, frobenius_norm, matmul, scale, square
 from .orchestrator import ModuleMetadata, TaskModule, score_tokens
 
 ADAM_BETA1 = 0.9
@@ -104,25 +93,6 @@ class TrainReport:
         for name, norm in self.final_delta_norms.items():
             lines.append(f"delta_norm[{name}]: {norm:.6f}")
         return "\n".join(lines) + "\n"
-
-
-def one_hot(labels, num_classes: int, precision) -> Matrix:
-    arr = np.zeros((len(labels), num_classes), dtype=precision.dtype)
-    arr[np.arange(len(labels)), list(labels)] = 1.0
-    return Matrix(arr)
-
-
-def cross_entropy(probs: Matrix, labels: Matrix) -> Matrix:
-    """Mean cross-entropy; validates rows are distributions/one-hot."""
-    if probs.shape != labels.shape:
-        raise ShapeError(f"cross_entropy: probs {probs.shape} vs labels {labels.shape}")
-    row_sums = probs.data.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-4:
-        raise ContractError("cross_entropy: probability rows must sum to 1 within 1e-4")
-    lab = labels.data
-    if not (np.isin(lab, (0.0, 1.0)).all() and np.all(lab.sum(axis=1) == 1.0)):
-        raise ContractError("cross_entropy: labels must be one-hot rows")
-    return _ce_op(probs, labels)
 
 
 def total_loss(ce: Matrix, adapter: LoraAdapter, reg_lambda: float) -> Matrix:
@@ -303,8 +273,8 @@ def classifier_loss(
     backbone: Backbone, head: ClassificationHead, batch: list, adapter: LoraAdapter | None = None, reg_lambda: float = 0.0
 ) -> Matrix:
     """Mean cross-entropy of the head on a (tokens, label) batch, plus the adapter penalty if any."""
-    probs = softmax(head_forward(head, backbone.encode([t for t, _ in batch], adapter)))
-    ce = cross_entropy(probs, one_hot([y for _, y in batch], head.num_classes, backbone.precision))
+    logits = head_forward(head, backbone.encode([t for t, _ in batch], adapter))
+    ce = cross_entropy(logits, [y for _, y in batch])
     return ce if adapter is None else total_loss(ce, adapter, reg_lambda)
 
 

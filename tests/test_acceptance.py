@@ -22,7 +22,7 @@ from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, load_backbone, s
 from scoremux.errors import ChecksumError
 from scoremux.evalkit import qwk
 from scoremux.heads import head_forward, new_head, predict
-from scoremux.numerics import Matrix, P32, P64, Rng, Tape, concat_rows, softmax
+from scoremux.numerics import Matrix, P32, P64, Rng, Tape, concat_rows, cross_entropy
 from scoremux.orchestrator import (
     ModuleMetadata,
     Registry,
@@ -35,9 +35,7 @@ from scoremux.orchestrator import (
 from scoremux.trainer import (
     TrainConfig,
     adapter_head_slots,
-    cross_entropy,
     delta_norm_total,
-    one_hot,
     total_loss,
     train_task,
 )
@@ -182,12 +180,11 @@ def test_criterion_4_gradient_correctness():
         slots = adapter_head_slots(adapter, head)
         mats = [s.get() for s in slots]
 
-        def f(ms, slots=slots, backbone=backbone, adapter=adapter, head=head, seqs=seqs, labels=labels, C=num_classes):
+        def f(ms, slots=slots, backbone=backbone, adapter=adapter, head=head, seqs=seqs, labels=labels):
             for slot, m in zip(slots, ms):
                 slot.set(m)
             hiddens = concat_rows([backbone.encode(t, adapter) for t in seqs])
-            probs = softmax(head_forward(head, hiddens))
-            ce = cross_entropy(probs, one_hot(labels, C, P64))
+            ce = cross_entropy(head_forward(head, hiddens), labels)
             return total_loss(ce, adapter, reg_lambda=0.05)
 
         with Tape() as tape:

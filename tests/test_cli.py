@@ -234,6 +234,18 @@ class TestCompare:
         a.write_text(json.dumps(["x"]))
         assert main(["compare", "--a", str(a), "--b", str(a)]) == 1
 
+    @pytest.mark.parametrize(
+        "bad", ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" * 400, id="400-digit-int"), "true", "false"]
+    )
+    def test_non_finite_or_boolean_entry_rejected(self, tmp_path, capsys, bad):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(f"[0.9, 0.8, {bad}]")
+        b.write_text("[0.88, 0.78, 0.8]")
+        assert main(["compare", "--a", str(a), "--b", str(b)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite numbers" in captured.err
+
 
 class TestErrors:
     def test_unknown_subcommand_exits_2(self):

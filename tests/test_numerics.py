@@ -133,11 +133,9 @@ class TestLayerNorm:
         v = rng.standard_normal(8)
         gain = rng.standard_normal(8)
         bias = rng.standard_normal(8)
-        eps = 1e-5
+        eps = 1e-5  # the engine's fixed epsilon
         expected = gain * (v - v.mean()) / math.sqrt(v.var() + eps) + bias
-        out = layer_norm(
-            Matrix(v.reshape(1, -1)), Matrix(gain.reshape(1, -1)), Matrix(bias.reshape(1, -1)), eps
-        )
+        out = layer_norm(Matrix(v.reshape(1, -1)), Matrix(gain.reshape(1, -1)), Matrix(bias.reshape(1, -1)))
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_bad_gain_shape(self, rng):
@@ -195,12 +193,10 @@ class TestTape:
 
     def test_composite_matmul_softmax_ce_matches_finite_differences(self, rng):
         x = rand_matrix(rng, 3, 4)
-        onehot = Matrix(np.eye(5)[[0, 2, 4]].astype(np.float64))
 
         def f(mats):
             a, b = mats
-            logits = matmul(x, matmul(a, b))
-            return cross_entropy(softmax(logits), onehot)
+            return cross_entropy(matmul(x, matmul(a, b)), [0, 2, 4])
 
         gradcheck(f, [rand_matrix(rng, 4, 3), rand_matrix(rng, 3, 5)])
 
@@ -292,9 +288,37 @@ class TestPrimitiveGradients:
     def test_cross_entropy(self, seed):
         rng = np.random.default_rng(800 + seed)
         n, c = int(rng.integers(1, 6)), int(rng.integers(2, 6))
-        onehot = Matrix(np.eye(c)[rng.integers(0, c, size=n)].astype(np.float64))
-        f = lambda mats: cross_entropy(softmax(mats[0]), onehot)
+        labels = rng.integers(0, c, size=n)
+        f = lambda mats: cross_entropy(mats[0], labels)
         gradcheck(f, [rand_matrix(rng, n, c, scl=2.0)])
+
+
+class TestCrossEntropy:
+    """The loss op on logits and class indices (its label contract: tests/test_trainer.py)."""
+
+    @pytest.mark.parametrize("n, c", [(2, 2), (3, 3), (6, 4), (7, 6), (12, 5)])
+    def test_gradcheck_with_every_class_as_a_label(self, rng, n, c):
+        labels = np.arange(n) % c  # n >= c, so every class is some row's label
+        gradcheck(lambda mats: cross_entropy(mats[0], labels), [rand_matrix(rng, n, c, scl=2.0)])
+
+    def test_large_logits_give_finite_loss_and_gradient(self, rng):
+        logits = rand_matrix(rng, 4, 3, scl=1e3)
+        labels = [0, 1, 2, 0]
+        with Tape() as tape:
+            tape.watch(logits)
+            loss = cross_entropy(logits, labels)
+        grad = tape.backward(loss)[logits].data
+        assert np.isfinite(loss.item()) and loss.item() > 0
+        assert np.isfinite(grad).all()
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)  # softmax - onehot rows sum to 0
+        gradcheck(lambda mats: cross_entropy(mats[0], labels), [logits])
+
+    def test_p32_loss_matches_p64(self, rng):
+        logits = rand_matrix(rng, 6, 5, scl=4.0)
+        labels = [0, 1, 2, 3, 4, 0]
+        lo = cross_entropy(logits.astype(P32), labels)
+        assert lo.precision is P32
+        assert lo.item() == pytest.approx(cross_entropy(logits, labels).item(), rel=1e-6)
 
 
 def reference_segment_attention(q, k, v, lengths, n_heads):

@@ -414,6 +414,16 @@ class TestServe:
         assert responses[1] == {"error": "malformed_request"}
         assert responses[2]["id"] == 3 and responses[2]["task"] == "T02"
 
+    @pytest.mark.parametrize("rid", ["NaN", "Infinity", "-Infinity", "1e400", "[NaN]"])
+    def test_non_finite_number_is_malformed(self, module_dir, frozen_bb, rid):
+        # echoing such an id back would make an answer that a strict JSON parser rejects
+        reg = fresh_registry(module_dir)
+        line = '{"id": ' + rid + ', "task": "T01", "text": "x"}'
+        out = handle_request_line(reg, frozen_bb, line)
+        assert json.loads(out, parse_constant=lambda c: pytest.fail(f"answer holds {c}")) == {
+            "error": "malformed_request"
+        }
+
     def test_module_for_another_backbone_is_mismatch(self, module_dir, frozen_bb, tmp_path):
         module = build_module("TOther", seed=3)
         other = Backbone(BackboneConfig(seed=CFG.seed + 1)).fingerprint()

@@ -14,7 +14,7 @@ from scoremux.data import ScoredResponse, TaskDataset, split_dataset
 from scoremux.errors import ContractError, FrozenViolationError
 from scoremux.evalkit import qwk
 from scoremux.heads import head_forward, new_head, predict
-from scoremux.numerics import P64, Rng, Tape, concat_rows, matrix, softmax
+from scoremux.numerics import P64, Rng, Tape, concat_rows, cross_entropy, matrix
 from scoremux.trainer import (
     Adam,
     EarlyStopper,
@@ -23,8 +23,6 @@ from scoremux.trainer import (
     _eval_split,
     adapter_head_slots,
     clip_gradients,
-    cross_entropy,
-    one_hot,
     pretrain_backbone,
     total_loss,
     train_task,
@@ -52,34 +50,33 @@ def make_dataset(n=120, num_classes=2, seed=1, task_id="T01"):
 
 
 class TestCrossEntropy:
+    # logits are log-probabilities, so each case reads as the probabilities it stands for
     def test_perfect_prediction_is_zero(self):
-        probs = matrix([[1.0, 0.0], [0.0, 1.0]], P64)
-        labels = matrix([[1.0, 0.0], [0.0, 1.0]], P64)
-        assert cross_entropy(probs, labels).item() == pytest.approx(0.0, abs=1e-9)
+        logits = matrix([[100.0, 0.0], [0.0, 100.0]], P64)
+        assert cross_entropy(logits, [0, 1]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_four_classes(self):
-        probs = matrix([[0.25] * 4], P64)
-        labels = matrix([[0.0, 1.0, 0.0, 0.0]], P64)
-        assert cross_entropy(probs, labels).item() == pytest.approx(math.log(4), abs=1e-9)
+        logits = matrix([[0.0] * 4], P64)
+        assert cross_entropy(logits, [1]).item() == pytest.approx(math.log(4), abs=1e-9)
 
     def test_half_confidence(self):
-        probs = matrix([[0.5, 0.5]], P64)
-        labels = matrix([[1.0, 0.0]], P64)
-        assert cross_entropy(probs, labels).item() == pytest.approx(math.log(2), abs=1e-9)
+        logits = matrix([[0.0, 0.0]], P64)
+        assert cross_entropy(logits, [0]).item() == pytest.approx(math.log(2), abs=1e-9)
 
     def test_mean_over_instances(self):
-        probs = matrix([[0.5, 0.5], [0.25, 0.75]], P64)
-        labels = matrix([[1.0, 0.0], [0.0, 1.0]], P64)
+        logits = matrix([[math.log(0.5), math.log(0.5)], [math.log(0.25), math.log(0.75)]], P64)
         expected = (math.log(2) - math.log(0.75)) / 2
-        assert cross_entropy(probs, labels).item() == pytest.approx(expected, abs=1e-9)
+        assert cross_entropy(logits, [0, 1]).item() == pytest.approx(expected, abs=1e-9)
 
-    def test_rejects_non_distribution(self):
-        with pytest.raises(ContractError, match="sum to 1"):
-            cross_entropy(matrix([[0.9, 0.5]], P64), matrix([[1.0, 0.0]], P64))
+    def test_rejects_out_of_range_label(self):
+        for labels in ([2], [-1]):  # a negative index must not wrap around to the last class
+            with pytest.raises(ContractError, match="out of range"):
+                cross_entropy(matrix([[0.5, 0.5]], P64), labels)
 
-    def test_rejects_non_onehot(self):
-        with pytest.raises(ContractError, match="one-hot"):
-            cross_entropy(matrix([[0.5, 0.5]], P64), matrix([[0.5, 0.5]], P64))
+    def test_rejects_wrong_label_count(self):
+        for labels in ([0, 1], [], [0.0], [[0]]):
+            with pytest.raises(ContractError, match="integer class indices"):
+                cross_entropy(matrix([[0.5, 0.5]], P64), labels)
 
 
 class TestTotalLoss:
@@ -220,8 +217,7 @@ def module_loss(bb, adapter, head, seqs, labels, reg_lambda):
     from scoremux.backbone import TokenSeq
 
     hiddens = concat_rows([bb.encode(TokenSeq(s), adapter) for s in seqs])
-    probs = softmax(head_forward(head, hiddens))
-    ce = cross_entropy(probs, one_hot(labels, head.num_classes, P64))
+    ce = cross_entropy(head_forward(head, hiddens), labels)
     return total_loss(ce, adapter, reg_lambda)
 
 
