@@ -4,7 +4,7 @@ The package splits into:
 
 - ``numerics``: dense matrices, seeded RNG, reverse-mode gradient tape
 - ``backbone``: hash tokenizer, transformer encoder, MLM pretraining, checkpoints
-- ``adapters``: low-rank task adapters (unmerged/merged paths, files)
+- ``adapters``: low-rank task adapters (effective weights W + s·A·B, attach, merge, files)
 - ``heads``: per-task classification heads
 - ``data``: scored-response datasets, 80/10/10 splits, JSONL
 - ``trainer``: one optimizer loop (Adam, warmup, clipping) for fine-tuning with early
@@ -23,11 +23,11 @@ from .adapters import (
     TargetKind,
     TargetPatch,
     attach,
+    effective_weights,
     load_adapter,
     merge,
     new_adapter,
     save_adapter,
-    unmerge,
 )
 from .backbone import (
     Backbone,
@@ -67,7 +67,7 @@ __all__ = [
     "mlm_step", "save_backbone", "load_backbone",
     # adapters
     "LoraAdapter", "LoraConfig", "TargetKind", "TargetPatch", "AdaptedModel",
-    "new_adapter", "attach", "merge", "unmerge", "save_adapter", "load_adapter",
+    "new_adapter", "effective_weights", "attach", "merge", "save_adapter", "load_adapter",
     # heads
     "ClassificationHead", "new_head", "head_forward", "predict",
     # data

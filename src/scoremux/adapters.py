@@ -1,23 +1,23 @@
-"""Per-task low-rank adapters: creation, attach (unmerged path), merge, files.
+"""Per-task low-rank adapters: creation, effective weights, attach, merge, files.
 
 An adapter patches the attention query and value projections of every
-backbone layer with a rank-r update. The unmerged serving path computes
-x @ W + s * (x @ A) @ B per patched weight, so the frozen backbone is never
-touched; merge() bakes s * A @ B into a cloned weight table for callers who
-want the single-matmul path. The scale is s = alpha / r, and the adapter
-file stores (r, alpha).
+backbone layer with a rank-r update. `effective_weights` is the one place the
+update is formed: it builds each patched weight as W + s * A @ B from tape
+ops, and the encoder reads the result in place of the frozen weight, so
+serving, training, validation and `merge` all run the same x @ W' forward and
+the frozen backbone is never touched. Training records it on the tape each
+step; `attach` derives it once with no tape. The scale is s = alpha / r, and
+the adapter file stores (r, alpha).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .backbone import Backbone, BackboneConfig, TokenSeq
 from .errors import ContractError, FileFormatError, RankError, ShapeError
-from .numerics import Matrix, P32, Precision, Rng
+from .numerics import Matrix, P32, Precision, Rng, add, matmul, scale
 from .serialize import Reader, Writer
 
 ADAPTER_MAGIC = b"MTLA"
@@ -73,22 +73,14 @@ class LoraAdapter:
     rank: int
     alpha: float
     targets: list[TargetPatch]
-    _by_slot: dict[tuple[int, str], TargetPatch] = field(init=False, repr=False)
 
     def __post_init__(self):
         for p in self.targets:
             if p.a.cols != self.rank or p.b.rows != self.rank:
                 raise RankError(f"patch rank {p.a.cols}x{p.b.rows} disagrees with adapter rank {self.rank}")
-        self._by_slot = {(p.layer_index, p.kind.slot): p for p in self.targets}
 
     def delta_scale(self) -> float:
         return self.alpha / self.rank
-
-    def patch_for(self, layer_index: int, slot: str) -> TargetPatch | None:
-        return self._by_slot.get((layer_index, slot))
-
-    def delta_matrix(self, patch: TargetPatch) -> np.ndarray:
-        return self.delta_scale() * (patch.a.data @ patch.b.data)
 
     def param_count(self) -> int:
         return sum(p.d * self.rank + self.rank * p.k for p in self.targets)
@@ -133,21 +125,6 @@ def new_adapter(
     return LoraAdapter(task_id=task_id, rank=r, alpha=float(alpha), targets=patches)
 
 
-@dataclass(frozen=True)
-class AdaptedModel:
-    """Read-only composite of a frozen backbone and one adapter (unmerged path)."""
-
-    backbone: Backbone
-    adapter: LoraAdapter
-
-    @property
-    def config(self) -> BackboneConfig:
-        return self.backbone.config
-
-    def encode(self, tokens: TokenSeq) -> Matrix:
-        return self.backbone.encode(tokens, self.adapter)
-
-
 def _check_dims(backbone: Backbone, adapter: LoraAdapter) -> None:
     d = backbone.config.d_model
     for p in adapter.targets:
@@ -157,33 +134,50 @@ def _check_dims(backbone: Backbone, adapter: LoraAdapter) -> None:
             raise ShapeError(f"patch is {p.d}x{p.k}, backbone weights are {d}x{d}")
 
 
+def effective_weights(backbone: Backbone, adapter: LoraAdapter) -> tuple[dict[str, Matrix], list[Matrix]]:
+    """(weight name -> W + s * A @ B for each patched weight, the s * A @ B terms in target order).
+
+    The terms are tape ops (matmul, scale, add): under an active tape A and B
+    get their gradients through every x @ W' that reads the weights, and the
+    regularizer reads the same s * A @ B nodes; with no tape they are plain
+    numpy. A zero B gives W' equal to W bit for bit.
+    """
+    _check_dims(backbone, adapter)
+    s = adapter.delta_scale()
+    weights: dict[str, Matrix] = {}
+    deltas: list[Matrix] = []
+    for p in adapter.targets:
+        name = f"layer{p.layer_index}.{p.kind.weight_name}"
+        delta = scale(matmul(p.a, p.b), s)
+        weights[name] = add(backbone.params[name], delta)
+        deltas.append(delta)
+    return weights, deltas
+
+
+@dataclass(frozen=True)
+class AdaptedModel:
+    """A frozen backbone and one adapter's effective weights, derived once by `attach`."""
+
+    backbone: Backbone
+    weights: dict[str, Matrix]
+
+    def encode(self, tokens: TokenSeq) -> Matrix:
+        return self.backbone.encode(tokens, self.weights)
+
+
 def attach(backbone: Backbone, adapter: LoraAdapter) -> AdaptedModel:
     if not backbone.frozen:
         raise ContractError("attach requires a frozen backbone")
-    _check_dims(backbone, adapter)
-    return AdaptedModel(backbone=backbone, adapter=adapter)
-
-
-def _shift(backbone: Backbone, adapter: LoraAdapter, sign: float) -> Backbone:
-    _check_dims(backbone, adapter)
-    shifted = backbone.clone()
-    for p in adapter.targets:
-        name = f"layer{p.layer_index}.{p.kind.weight_name}"
-        w = shifted.params[name]
-        shifted.params[name] = Matrix(w.data + sign * adapter.delta_matrix(p).astype(w.data.dtype))
-    if backbone.frozen:
-        shifted.freeze()
-    return shifted
+    return AdaptedModel(backbone=backbone, weights=effective_weights(backbone, adapter)[0])
 
 
 def merge(backbone: Backbone, adapter: LoraAdapter) -> Backbone:
-    """Clone of the backbone with each patched weight replaced by W + delta."""
-    return _shift(backbone, adapter, 1.0)
-
-
-def unmerge(merged: Backbone, adapter: LoraAdapter) -> Backbone:
-    """Inverse of merge on the same adapter: subtracts each delta."""
-    return _shift(merged, adapter, -1.0)
+    """Clone of the backbone with each patched weight replaced by W + s * A @ B."""
+    merged = backbone.clone()
+    merged.params.update(effective_weights(backbone, adapter)[0])
+    if backbone.frozen:
+        merged.freeze()
+    return merged
 
 
 # -- adapter file I/O ----------------------------------------------------------

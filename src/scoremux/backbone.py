@@ -2,8 +2,8 @@
 
 A Backbone is a small post-LN transformer encoder (BERT-style) whose
 parameters live in a single name-keyed table. Once frozen it is immutable
-and shareable; task adaptation only ever touches external adapter/head
-parameters.
+and shareable; a forward pass may read some weights from a caller's
+name -> weight map in place of the table's.
 
 The forward pass runs on a packed batch: the sequences' rows are stacked
 into one (sum of lengths x d_model) matrix, so each projection, FFN and
@@ -41,7 +41,6 @@ from .numerics import (
     gelu,
     layer_norm,
     matmul,
-    scale as scale_op,
     segment_attention,
 )
 from .serialize import Reader, Writer
@@ -184,11 +183,12 @@ class Backbone:
 
     # -- forward -------------------------------------------------------------
 
-    def hidden_states(self, batch: Sequence[TokenSeq], adapter=None) -> Matrix:
+    def hidden_states(self, batch: Sequence[TokenSeq], weights: dict[str, Matrix] | None = None) -> Matrix:
         """Final hidden rows of a packed batch: (sum of lengths) x d_model.
 
         Row blocks follow the batch order; each sequence attends only to its
-        own rows, so its block does not depend on the other sequences.
+        own rows, so its block does not depend on the other sequences. Each
+        entry of `weights` is read in place of the parameter of that name.
         """
         cfg = self.config
         if not batch:
@@ -203,13 +203,13 @@ class Backbone:
             raise ContractError(f"token id {t} out of range [0, {cfg.vocab_size})")
         starts = np.cumsum(lengths) - lengths
         positions = np.arange(len(ids)) - np.repeat(starts, lengths)
-        p = self.params
+        p = self.params if not weights else self.params | weights
         x = add(gather_rows(p["tok_emb"], ids), gather_rows(p["pos_emb"], positions))
         for i in range(cfg.n_layers):
             pre = f"layer{i}."
-            q = self._project(x, p[pre + "wq"], p[pre + "bq"], adapter, i, "q")
+            q = add_row(matmul(x, p[pre + "wq"]), p[pre + "bq"])
             k = add_row(matmul(x, p[pre + "wk"]), p[pre + "bk"])
-            v = self._project(x, p[pre + "wv"], p[pre + "bv"], adapter, i, "v")
+            v = add_row(matmul(x, p[pre + "wv"]), p[pre + "bv"])
             ctx = segment_attention(q, k, v, lengths, cfg.n_heads)
             attended = add_row(matmul(ctx, p[pre + "wo"]), p[pre + "bo"])
             x = layer_norm(add(x, attended), p[pre + "ln1.gain"], p[pre + "ln1.bias"])
@@ -217,23 +217,14 @@ class Backbone:
             x = layer_norm(add(x, ff), p[pre + "ln2.gain"], p[pre + "ln2.bias"])
         return x
 
-    def _project(self, x: Matrix, w: Matrix, b: Matrix, adapter, layer: int, kind: str) -> Matrix:
-        out = add_row(matmul(x, w), b)
-        if adapter is not None:
-            patch = adapter.patch_for(layer, kind)
-            if patch is not None:
-                low = matmul(matmul(x, patch.a), patch.b)
-                out = add(out, scale_op(low, adapter.delta_scale()))
-        return out
-
-    def encode(self, tokens: TokenSeq | Sequence[TokenSeq], adapter=None) -> Matrix:
+    def encode(self, tokens: TokenSeq | Sequence[TokenSeq], weights: dict[str, Matrix] | None = None) -> Matrix:
         """CLS-position final hidden rows, one per sequence in order.
 
         One TokenSeq gives 1 x d_model; a sequence of B of them runs as one
-        packed batch and gives B x d_model.
+        packed batch and gives B x d_model. `weights` is as in `hidden_states`.
         """
         batch = [tokens] if isinstance(tokens, TokenSeq) else list(tokens)
-        hidden = self.hidden_states(batch, adapter)
+        hidden = self.hidden_states(batch, weights)
         lengths = [len(t) for t in batch]
         return gather_rows(hidden, np.cumsum(lengths) - lengths)
 

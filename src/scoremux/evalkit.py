@@ -101,16 +101,20 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]
     """(t statistic, two-sided p) for paired samples; sample sd, df = n-1.
 
     Zero-variance differences degenerate deterministically: all-zero -> (0, 1);
-    identical nonzero -> (+/-inf, 0).
+    identical nonzero -> (+/-inf, 0). Differences, or a mean or sd of them,
+    that overflow the float64 range raise ContractError.
     """
     if len(a) != len(b):
         raise ContractError(f"length mismatch: {len(a)} vs {len(b)}")
     if len(a) < 2:
         raise ContractError("paired t-test needs at least 2 pairs")
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+        mean = float(d.mean())
+        sd = float(d.std(ddof=1))
+    if not (np.isfinite(d).all() and math.isfinite(mean) and math.isfinite(sd)):
+        raise ContractError("paired t-test: the differences, their mean or their sd overflow float64")
     n = len(d)
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
             return 0.0, 1.0
@@ -139,9 +143,9 @@ def evaluate(registry, backbone, task_id: str, test_split) -> EvalReport:
     """Score the test split in batches with the registry's module and assemble all metrics."""
     if not test_split:
         raise ContractError("empty test split")
-    module = registry.ensure_loaded(task_id, backbone)
+    module, weights = registry.ensure_loaded(task_id, backbone)
     tokens = [tokenize(item.text, backbone.config) for item in test_split]
-    preds = score_tokens(backbone, module.adapter, module.head, tokens, EVAL_BATCH_SIZE).argmax(axis=1)
+    preds = score_tokens(backbone, weights, module.head, tokens, EVAL_BATCH_SIZE).argmax(axis=1)
     golds = [item.score for item in test_split]
     num_classes = module.head.num_classes
     m = confusion_matrix(golds, preds, num_classes)

@@ -362,19 +362,13 @@ def gelu(a: Matrix) -> Matrix:
 
 
 def softmax(v: Matrix) -> Matrix:
-    """Row-wise softmax with max-subtraction for stability; recorded on the tape.
+    """Row-wise softmax with max-subtraction for stability; not differentiable, never on a tape.
 
     Training's loss takes logits (`cross_entropy`); `heads.class_probs` reports through this.
     """
     x = v.data
     e = np.exp(x - x.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Matrix(y)
-
-    def vjp(g: np.ndarray) -> np.ndarray:
-        return y * (g - (g * y).sum(axis=1, keepdims=True))
-
-    return _record(out, (v,), (vjp,))
+    return Matrix(e / e.sum(axis=1, keepdims=True))
 
 
 def segment_attention(q: Matrix, k: Matrix, v: Matrix, lengths: Sequence[int], n_heads: int) -> Matrix:

@@ -5,10 +5,12 @@ file, loaded on demand. The Registry keeps at most `capacity` modules
 resident, evicting least-recently-used; modules being scored are pinned and
 cannot be evicted until their in-flight requests finish. It alone admits a
 module: at the scoring backbone's precision, and only if trained against that
-backbone, checked before the module takes a slot. `score` answers one
-request; `score_tokens` scores a whole tokenized split in packed batches for
-validation and evaluation. Both end in `heads.class_probs`. The wire protocol
-is newline-delimited UTF-8 JSON over stdio or TCP.
+backbone, checked before the module takes a slot; it then derives the
+module's effective weights once (`adapters.attach`) and keeps them with it.
+`score` answers one request; `score_tokens` scores a whole tokenized split in
+packed batches for validation and evaluation. Both end in
+`heads.class_probs`. The wire protocol is newline-delimited UTF-8 JSON over
+stdio or TCP.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .adapters import ADAPTER_MAGIC, ADAPTER_VERSION, LoraAdapter, adapter_from_bytes, adapter_to_bytes
+from .adapters import ADAPTER_MAGIC, ADAPTER_VERSION, LoraAdapter, adapter_from_bytes, adapter_to_bytes, attach
 from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
     BackboneMismatchError,
@@ -155,6 +158,16 @@ class RegistryStats:
     compute_time_us: int = 0
 
 
+class Resident(NamedTuple):
+    """A module the registry admitted, with its effective weights for the backbone it was admitted for."""
+
+    module: TaskModule
+    weights: dict[str, Matrix]
+
+    def nbytes(self) -> int:
+        return self.module.param_bytes() + sum(w.data.nbytes for w in self.weights.values())
+
+
 @dataclass(frozen=True)
 class ScoreResult:
     task_id: str
@@ -174,7 +187,7 @@ class Registry:
         self.capacity = capacity
         self.manifest: dict[str, str] = {}
         self.stats = RegistryStats()
-        self._loaded: OrderedDict[str, TaskModule] = OrderedDict()
+        self._loaded: OrderedDict[str, Resident] = OrderedDict()
         self._pins: dict[str, int] = {}
         self._cond = threading.Condition()
 
@@ -192,47 +205,49 @@ class Registry:
             return list(self._loaded)
 
     def resident_module_bytes(self) -> int:
+        """Parameter bytes of the resident modules plus their derived effective weights."""
         with self._cond:
-            return sum(m.param_bytes() for m in self._loaded.values())
+            return sum(entry.nbytes() for entry in self._loaded.values())
 
-    def _acquire(self, task_id: str, backbone: Backbone | None, pin: bool = False) -> tuple[TaskModule, bool]:
-        """Return (module, cache_hit) for scoring with the frozen `backbone`; the one admission point.
+    def _acquire(self, task_id: str, backbone: Backbone, pin: bool = False) -> tuple[Resident, bool]:
+        """Return (resident entry, cache_hit) for scoring with the frozen `backbone`; the one admission point.
 
-        A miss reads the file at `backbone.precision`; so does a hit at another
-        width, whose copy then gives up its slot to the new one. A module trained
-        against another backbone raises BackboneMismatchError before anything is
-        pinned, inserted or evicted; a refused read counts only in `loads`. With no
-        backbone any resident copy is a hit, and a miss loads at float32, the width
-        its file stores, unchecked.
+        A miss reads the file at `backbone.precision`. A module trained against
+        another backbone raises BackboneMismatchError before anything is pinned,
+        inserted or evicted; a refused read counts only in `loads`. An admitted
+        module's effective weights are derived once, here, and charged with the
+        read to `load_time_us`; a hit builds nothing. A fingerprint matches a
+        backbone of one precision only, so a resident entry is always at the
+        width of the backbone that hits it.
         """
-        if backbone is not None and not backbone.frozen:
+        if not backbone.frozen:
             raise ContractError("scoring requires a frozen backbone")
         with self._cond:
             if task_id not in self.manifest:
                 raise UnknownTaskError(f"unknown task {task_id!r}")
-            module = self._loaded.get(task_id)
-            hit = module is not None and (backbone is None or module.head.weight.precision is backbone.precision)
+            entry = self._loaded.get(task_id)
+            hit = entry is not None
+            t0 = time.perf_counter_ns()
+            module = entry.module if hit else load_task_module(self.manifest[task_id], backbone.precision)
             if not hit:
-                t0 = time.perf_counter_ns()
-                module = load_task_module(self.manifest[task_id], backbone.precision if backbone is not None else P32)
-                self.stats.load_time_us += (time.perf_counter_ns() - t0) // 1000
                 self.stats.loads += 1
-            if backbone is not None and module.metadata.backbone_fingerprint != backbone.frozen_fingerprint:
+            if module.metadata.backbone_fingerprint != backbone.frozen_fingerprint:
                 raise BackboneMismatchError(f"module {task_id!r} was trained against another backbone")
             if hit:
                 self._loaded.move_to_end(task_id)
                 self.stats.hits += 1
             else:
-                self._loaded.pop(task_id, None)  # a copy at another width gives up its slot
+                entry = Resident(module, attach(backbone, module.adapter).weights)
+                self.stats.load_time_us += (time.perf_counter_ns() - t0) // 1000
                 while len(self._loaded) >= self.capacity and not self._evictable():
                     self._cond.wait()
                 while len(self._loaded) >= self.capacity:
                     self._evict_one()
-                self._loaded[task_id] = module
+                self._loaded[task_id] = entry
                 self.stats.misses += 1
             if pin:
                 self._pins[task_id] = self._pins.get(task_id, 0) + 1
-            return module, hit
+            return entry, hit
 
     def _evictable(self) -> bool:
         return any(self._pins.get(tid, 0) == 0 for tid in self._loaded)
@@ -256,21 +271,21 @@ class Registry:
                 self._pins[task_id] = count
             self._cond.notify_all()
 
-    def ensure_loaded(self, task_id: str, backbone: Backbone | None = None) -> TaskModule:
-        module, _ = self._acquire(task_id, backbone)
-        return module
+    def ensure_loaded(self, task_id: str, backbone: Backbone) -> Resident:
+        entry, _ = self._acquire(task_id, backbone)
+        return entry
 
 
 def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> ScoreResult:
-    """Three-step scoring: encode through adapter, then head probabilities."""
+    """Three-step scoring: tokenize, encode with the module's effective weights, then head probabilities."""
     t_start = time.perf_counter_ns()
-    module, hit = registry._acquire(task_id, backbone, pin=True)
+    entry, hit = registry._acquire(task_id, backbone, pin=True)
     compute_us = 0
     try:
         t_compute = time.perf_counter_ns()
         tokens = tokenize(text, backbone.config)
-        h = backbone.encode(tokens, module.adapter)
-        label, probs = predict(module.head, h)
+        h = backbone.encode(tokens, entry.weights)
+        label, probs = predict(entry.module.head, h)
         compute_us = (time.perf_counter_ns() - t_compute) // 1000
     finally:
         registry._unpin(task_id, compute_us)
@@ -285,12 +300,16 @@ def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> Sc
 
 
 def score_tokens(
-    backbone: Backbone, adapter: LoraAdapter | None, head: ClassificationHead, tokens: list[TokenSeq], batch_size: int
+    backbone: Backbone,
+    weights: dict[str, Matrix] | None,
+    head: ClassificationHead,
+    tokens: list[TokenSeq],
+    batch_size: int,
 ) -> np.ndarray:
     """N x C class probabilities of a tokenized split: one packed encode per batch, no tape."""
     probs = np.empty((len(tokens), head.num_classes))
     for lo in range(0, len(tokens), batch_size):
-        probs[lo : lo + batch_size] = class_probs(head, backbone.encode(tokens[lo : lo + batch_size], adapter))
+        probs[lo : lo + batch_size] = class_probs(head, backbone.encode(tokens[lo : lo + batch_size], weights))
     return probs
 
 

@@ -5,7 +5,9 @@ substream, minibatch Adam (0.9/0.999/1e-8), linear learning-rate warmup over
 the first fraction of the planned steps, and per-step global gradient-norm
 clipping. `train_task` fits a LoRA adapter and head on a frozen backbone
 (cross-entropy plus a Frobenius penalty on the scaled low-rank updates, early
-stopping on validation loss, restore of the best epoch); `pretrain_backbone`
+stopping on validation loss, restore of the best epoch): each step records
+`adapters.effective_weights` on the tape once, and the encoder and the
+penalty both read its nodes. `pretrain_backbone`
 fits an unfrozen backbone on the masked-token loss; and
 `workbench.train_full_baseline` fits a backbone clone and head on
 cross-entropy. `_eval_split` scores a split with `orchestrator.score_tokens`.
@@ -21,13 +23,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adapters import LoraAdapter, LoraConfig, new_adapter
+from .adapters import LoraAdapter, LoraConfig, effective_weights, new_adapter
 from .backbone import Backbone, TokenSeq, mlm_step, param_order, tokenize
 from .data import TaskDataset, split_dataset
 from .errors import ContractError, FrozenViolationError
 from .evalkit import qwk
 from .heads import ClassificationHead, head_forward, new_head
-from .numerics import Matrix, Rng, Tape, add, cross_entropy, frobenius_norm, matmul, scale, square
+from .numerics import Matrix, Rng, Tape, add, cross_entropy, frobenius_norm, scale, square
 from .orchestrator import ModuleMetadata, TaskModule, score_tokens
 
 ADAM_BETA1 = 0.9
@@ -95,25 +97,17 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def total_loss(ce: Matrix, adapter: LoraAdapter, reg_lambda: float) -> Matrix:
-    """ce + lambda * sum over patches of ||scaled delta||_F^2, on the tape."""
+def total_loss(ce: Matrix, deltas: list[Matrix], reg_lambda: float) -> Matrix:
+    """ce + lambda * sum of ||s * A @ B||_F^2 over the `effective_weights` deltas, on the tape."""
     if reg_lambda < 0:
         raise ContractError("reg_lambda must be >= 0")
-    if reg_lambda == 0.0:
+    if reg_lambda == 0.0 or not deltas:
         return ce
     penalty = None
-    s = adapter.delta_scale()
-    for patch in adapter.targets:
-        term = square(frobenius_norm(scale(matmul(patch.a, patch.b), s)))
+    for delta in deltas:
+        term = square(frobenius_norm(delta))
         penalty = term if penalty is None else add(penalty, term)
-    if penalty is None:
-        return ce
     return add(ce, scale(penalty, reg_lambda))
-
-
-def delta_norm_total(adapter: LoraAdapter) -> float:
-    """Sum of squared Frobenius norms of the scaled deltas (plain numpy)."""
-    return float(sum(np.sum(adapter.delta_matrix(p).astype(np.float64) ** 2) for p in adapter.targets))
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -272,15 +266,18 @@ def fit(
 def classifier_loss(
     backbone: Backbone, head: ClassificationHead, batch: list, adapter: LoraAdapter | None = None, reg_lambda: float = 0.0
 ) -> Matrix:
-    """Mean cross-entropy of the head on a (tokens, label) batch, plus the adapter penalty if any."""
-    logits = head_forward(head, backbone.encode([t for t, _ in batch], adapter))
-    ce = cross_entropy(logits, [y for _, y in batch])
-    return ce if adapter is None else total_loss(ce, adapter, reg_lambda)
+    """Mean cross-entropy of the head on a (tokens, label) batch, plus the adapter penalty if any.
+
+    The adapter enters once, as its effective weights; the penalty reads the same delta nodes.
+    """
+    weights, deltas = effective_weights(backbone, adapter) if adapter is not None else (None, [])
+    logits = head_forward(head, backbone.encode([t for t, _ in batch], weights))
+    return total_loss(cross_entropy(logits, [y for _, y in batch]), deltas, reg_lambda)
 
 
-def _eval_split(backbone, adapter, head, examples, batch_size) -> tuple[float, float]:
-    """(mean CE, QWK) of a classifier on a tokenized split, scored by `score_tokens`."""
-    probs = score_tokens(backbone, adapter, head, [t for t, _ in examples], batch_size)
+def _eval_split(backbone, weights, head, examples, batch_size) -> tuple[float, float]:
+    """(mean CE, QWK) of a classifier with these effective weights on a tokenized split, by `score_tokens`."""
+    probs = score_tokens(backbone, weights, head, [t for t, _ in examples], batch_size)
     golds = np.array([label for _, label in examples], dtype=np.int64)
     picked = probs[np.arange(len(golds)), golds]
     loss = float(-np.log(np.maximum(picked, 1e-12)).sum()) / max(1, len(golds))
@@ -325,7 +322,8 @@ def train_task(
     best_snapshot = [s.get() for s in slots]
 
     def end_epoch(epoch: int, train_loss: float) -> bool:
-        val_loss, val_qwk = _eval_split(backbone, adapter, head, val_examples, cfg.batch_size)
+        weights, _ = effective_weights(backbone, adapter)
+        val_loss, val_qwk = _eval_split(backbone, weights, head, val_examples, cfg.batch_size)
         epoch_stats.append(EpochStats(train_loss, val_loss, val_qwk))
         if stopper.update(epoch, val_loss):
             best_snapshot[:] = [s.get() for s in slots]
@@ -340,10 +338,8 @@ def train_task(
         s.set(saved)
 
     final_norms = {
-        f"layer{p.layer_index}.{p.kind.slot}": float(
-            np.sqrt(np.sum(adapter.delta_matrix(p).astype(np.float64) ** 2))
-        )
-        for p in adapter.targets
+        f"layer{p.layer_index}.{p.kind.slot}": float(np.sqrt(np.sum(delta.data.astype(np.float64) ** 2)))
+        for p, delta in zip(adapter.targets, effective_weights(backbone, adapter)[1])
     }
     module = TaskModule(
         task_id=dataset.task_id,

@@ -212,10 +212,11 @@ def run_benchmark(
 ) -> BenchReport:
     """Byte accounting plus measured switch latency, framework vs baseline.
 
-    Framework switch: read one task-module file and attach it. Baseline
-    switch: reload a full backbone checkpoint plus the task's head, simulating
-    one fully fine-tuned model per task. Byte totals are exact shape-derived
-    parameter bytes (MLM head excluded: a deployed scorer does not ship it).
+    Framework switch: read one task-module file and attach it, which derives
+    its effective weights. Baseline switch: reload a full backbone checkpoint
+    plus the task's head, simulating one fully fine-tuned model per task.
+    Byte totals are exact shape-derived parameter bytes (MLM head excluded: a
+    deployed scorer does not ship it).
     """
     if switches <= warmup_discard:
         raise ContractError("switches must exceed warmup_discard")

@@ -1,6 +1,8 @@
-"""Shared test helpers: finite-difference oracles and gradient comparison."""
+"""Shared test helpers: finite-difference oracles, gradient comparison, a plain-numpy encoder."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +53,60 @@ def gradcheck(f, mats: list[Matrix], tol: float = 1e-4, h: float = 1e-5) -> None
     ana = analytic_grads(f, mats)
     for i in range(len(mats)):
         assert_grad_close(ana[i], fd_grad(f, mats, i, h=h), tol=tol)
+
+
+def straight_line_encode(bb, ids: tuple[int, ...], adapter=None) -> np.ndarray:
+    """Plain-numpy float64 re-implementation of one forward pass; no tape, no ops.
+
+    An adapter enters per row, as the unmerged LoRA path: each patched
+    projection is x @ W + s * (x @ A) @ B, never forming W + s * A @ B.
+    Returns the CLS row.
+    """
+    cfg = bb.config
+    p = {k: m.data.astype(np.float64) for k, m in bb.params.items()}
+    patches = {}
+    if adapter is not None:
+        s = adapter.alpha / adapter.rank
+        for t in adapter.targets:
+            a, b = t.a.data.astype(np.float64), t.b.data.astype(np.float64)
+            patches[f"layer{t.layer_index}.{t.kind.weight_name}"] = (a, b, s)
+    n = len(ids)
+    x = p["tok_emb"][list(ids)] + p["pos_emb"][:n]
+    dh = cfg.d_model // cfg.n_heads
+
+    def project(v, name, bias):
+        out = v @ p[name] + p[bias]
+        if name in patches:
+            a, b, s = patches[name]
+            out = out + s * ((v @ a) @ b)
+        return out
+
+    def ln(v, gain, bias):
+        mu = v.mean(axis=1, keepdims=True)
+        var = v.var(axis=1, keepdims=True)
+        return (v - mu) / np.sqrt(var + 1e-5) * gain + bias
+
+    def row_softmax(s):
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    erf = np.vectorize(math.erf)
+    for i in range(cfg.n_layers):
+        pre = f"layer{i}."
+        q = project(x, pre + "wq", pre + "bq")
+        k = project(x, pre + "wk", pre + "bk")
+        v = project(x, pre + "wv", pre + "bv")
+        parts = []
+        for h in range(cfg.n_heads):
+            sl = slice(h * dh, (h + 1) * dh)
+            scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
+            parts.append(row_softmax(scores) @ v[:, sl])
+        attended = np.concatenate(parts, axis=1) @ p[pre + "wo"] + p[pre + "bo"]
+        x = ln(x + attended, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+        hidden = x @ p[pre + "w1"] + p[pre + "b1"]
+        hidden = 0.5 * hidden * (1.0 + erf(hidden / math.sqrt(2.0)))
+        x = ln(x + hidden @ p[pre + "w2"] + p[pre + "b2"], p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+    return x[0]
 
 
 @pytest.fixture

@@ -17,8 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scoremux.adapters import attach, load_adapter, merge, new_adapter, save_adapter
-from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, load_backbone, save_backbone, tokenize
+from scoremux.adapters import attach, effective_weights, load_adapter, merge, new_adapter, save_adapter
+from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, TokenSeq, load_backbone, save_backbone, tokenize
 from scoremux.errors import ChecksumError
 from scoremux.evalkit import qwk
 from scoremux.heads import head_forward, new_head, predict
@@ -35,13 +35,12 @@ from scoremux.orchestrator import (
 from scoremux.trainer import (
     TrainConfig,
     adapter_head_slots,
-    delta_norm_total,
     total_loss,
     train_task,
 )
 from scoremux.workbench import default_specs, generate_task, run_benchmark
 
-from conftest import fd_grad
+from conftest import fd_grad, straight_line_encode
 
 CAMPAIGN_LR = 5e-3  # desk-scale rate: 125 Adam steps must train from random features
 
@@ -81,9 +80,9 @@ def campaign(tmp_path_factory):
         save_task_module(module, str(path))
         module_paths[spec.task_id] = str(path)
         golds, preds = [], []
+        model = attach(backbone, module.adapter)
         for item in dataset.splits.test:
-            h = backbone.encode(tokenize(item.text, backbone.config), module.adapter)
-            label, _ = predict(module.head, h)
+            label, _ = predict(module.head, model.encode(tokenize(item.text, backbone.config)))
             golds.append(item.score)
             preds.append(label)
         with warnings.catch_warnings():
@@ -101,10 +100,12 @@ def campaign(tmp_path_factory):
 
 
 def test_criterion_1_merged_unmerged_equivalence():
+    # attach and merge both run x @ (W + s A B); the oracle is the unmerged per-row x @ W + s (x @ A) @ B
     results = {}
     for precision, tol in ((P32, 1e-5), (P64, 1e-10)):
         backbone = Backbone(BackboneConfig(seed=11), precision).freeze()
         head = new_head("t", 4, backbone.config.d_model, Rng(1), precision)
+        w_head, b_head = head.weight.data.astype(np.float64), head.bias.data.astype(np.float64)
         worst = 0.0
         for trial in range(100):
             adapter = randomize_b(
@@ -112,17 +113,16 @@ def test_criterion_1_merged_unmerged_equivalence():
             )
             gen = np.random.default_rng(trial)
             ids = tuple([CLS_ID] + list(gen.integers(4, backbone.config.vocab_size, size=12)))
-            from scoremux.backbone import TokenSeq
-
             tokens = TokenSeq(ids)
-            z_unmerged = head_forward(head, attach(backbone, adapter).encode(tokens)).data
+            z_oracle = straight_line_encode(backbone, ids, adapter) @ w_head.T + b_head
+            z_attached = head_forward(head, attach(backbone, adapter).encode(tokens)).data
             z_merged = head_forward(head, merge(backbone, adapter).encode(tokens)).data
-            worst = max(worst, float(np.abs(z_unmerged - z_merged).max()))
+            worst = max(worst, float(np.abs(z_attached - z_oracle).max()), float(np.abs(z_merged - z_oracle).max()))
         results[precision.name] = (worst, worst <= tol)
     ok = all(flag for _, flag in results.values())
     criterion(
         1, ok,
-        "merged vs unmerged logits over 100 random adapters each: "
+        "attach and merge logits vs the unmerged per-row oracle over 100 random adapters each: "
         f"P32 max diff {results['P32'][0]:.2e} (tol 1e-5), P64 max diff {results['P64'][0]:.2e} (tol 1e-10)",
     )
 
@@ -170,8 +170,6 @@ def test_criterion_4_gradient_correctness():
             900 + seed, std=0.1,
         )
         head = new_head("t", num_classes, cfg.d_model, Rng(seed + 1), P64)
-        from scoremux.backbone import TokenSeq
-
         seqs = [
             TokenSeq(tuple([CLS_ID] + list(gen.integers(4, cfg.vocab_size, size=int(gen.integers(2, 6))))))
             for _ in range(2)
@@ -183,9 +181,10 @@ def test_criterion_4_gradient_correctness():
         def f(ms, slots=slots, backbone=backbone, adapter=adapter, head=head, seqs=seqs, labels=labels):
             for slot, m in zip(slots, ms):
                 slot.set(m)
-            hiddens = concat_rows([backbone.encode(t, adapter) for t in seqs])
+            weights, deltas = effective_weights(backbone, adapter)
+            hiddens = concat_rows([backbone.encode(t, weights) for t in seqs])
             ce = cross_entropy(head_forward(head, hiddens), labels)
-            return total_loss(ce, adapter, reg_lambda=0.05)
+            return total_loss(ce, deltas, reg_lambda=0.05)
 
         with Tape() as tape:
             for m in mats:
@@ -285,6 +284,7 @@ def test_criterion_7_efficiency_structure(campaign):
 
 def test_criterion_8_lru_reference_equivalence(tmp_path):
     cfg = BackboneConfig(vocab_size=50, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8, seed=0)
+    backbone = Backbone(cfg).freeze()
     paths = {}
     for i in range(27):
         tid = f"T{i:02d}"
@@ -292,7 +292,7 @@ def test_criterion_8_lru_reference_equivalence(tmp_path):
             task_id=tid,
             adapter=new_adapter(tid, cfg, r=2, rng=Rng(i)),
             head=new_head(tid, 2, cfg.d_model, Rng(i)),
-            metadata=ModuleMetadata(2, 0, ""),
+            metadata=ModuleMetadata(2, 0, backbone.frozen_fingerprint),
         )
         path = tmp_path / f"{tid}.mod"
         save_task_module(module, str(path))
@@ -317,7 +317,7 @@ def test_criterion_8_lru_reference_equivalence(tmp_path):
             registry.register(tid, p)
         accesses = [f"T{int(gen.integers(0, 27)):02d}" for _ in range(1250)]
         for tid in accesses:
-            registry.ensure_loaded(tid)
+            registry.ensure_loaded(tid, backbone)
         total += len(accesses)
         ok &= registry.loaded_ids() == reference(accesses, capacity)
     criterion(8, ok and total == 10_000, f"loaded set == reference LRU over {total} accesses, capacities 1-8, 27 tasks")
@@ -366,21 +366,21 @@ def test_criterion_9_serialization_round_trips(tmp_path):
 
 def test_criterion_10_regularization():
     # exactness of the lambda = 0 reduction
-    ce = Matrix(np.asarray([[0.73]], dtype=np.float32))
-    adapter = randomize_b(new_adapter("t", BackboneConfig(), rng=Rng(4)), 5)
-    exact = total_loss(ce, adapter, 0.0) is ce
-
     backbone = Backbone(BackboneConfig(seed=31)).freeze()
+    ce = Matrix(np.asarray([[0.73]], dtype=np.float32))
+    adapter = randomize_b(new_adapter("t", backbone.config, rng=Rng(4)), 5)
+    exact = total_loss(ce, effective_weights(backbone, adapter)[1], 0.0) is ce
+
     from scoremux.workbench import TaskSpec
 
     norms = {}
     for lam in (0.0, 1.0):
         dataset = generate_task(TaskSpec("TReg", num_classes=3, n_items=200, difficulty="easy", seed=5))
-        module, _ = train_task(
+        _, report = train_task(
             backbone, dataset,
             TrainConfig(learning_rate=CAMPAIGN_LR, max_epochs=3, seed=17, reg_lambda=lam),
         )
-        norms[lam] = delta_norm_total(module.adapter)
+        norms[lam] = sum(norm**2 for norm in report.final_delta_norms.values())
     ok = exact and norms[1.0] <= norms[0.0]
     criterion(
         10, ok,

@@ -1,4 +1,4 @@
-"""Adapter creation, delta algebra, attach/merge equivalence, and file format."""
+"""Adapter creation, delta algebra, effective weights, attach/merge against the per-row oracle, file format."""
 
 from __future__ import annotations
 
@@ -11,18 +11,21 @@ from scoremux.adapters import (
     TargetPatch,
     adapter_to_bytes,
     attach,
+    effective_weights,
     load_adapter,
     merge,
     new_adapter,
     save_adapter,
-    unmerge,
 )
 from scoremux.backbone import Backbone, BackboneConfig, tokenize
 from scoremux.errors import ChecksumError, ContractError, RankError, ShapeError
 from scoremux.heads import head_forward, new_head
 from scoremux.numerics import Matrix, P64, Rng, matrix
 
+from conftest import straight_line_encode
+
 CFG = BackboneConfig()
+TINY = BackboneConfig(vocab_size=8, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq_len=4)
 
 
 def randomize_b(adapter: LoraAdapter, seed: int, std: float = 0.05) -> LoraAdapter:
@@ -40,9 +43,12 @@ def frozen_bb():
 
 class TestNewAdapter:
     def test_fresh_adapter_deltas_are_zero(self):
-        ad = new_adapter("T01", CFG, rng=Rng(1))
-        for p in ad.targets:
-            assert np.all(ad.delta_matrix(p) == 0.0)
+        bb = Backbone(CFG)
+        weights, deltas = effective_weights(bb, new_adapter("T01", CFG, rng=Rng(1)))
+        for delta in deltas:
+            assert np.all(delta.data == 0.0)
+        for name, w in weights.items():
+            np.testing.assert_array_equal(w.data, bb.params[name].data)
 
     def test_default_config_yields_four_patches(self):
         ad = new_adapter("T01", CFG, rng=Rng(1))
@@ -70,7 +76,8 @@ class TestNewAdapter:
 
 
 def scaled_delta(p: TargetPatch, alpha: float, r: int) -> np.ndarray:
-    return LoraAdapter("T", r, alpha, [p]).delta_matrix(p)
+    _, deltas = effective_weights(Backbone(TINY), LoraAdapter("T", r, alpha, [p]))
+    return deltas[0].data
 
 
 class TestDelta:
@@ -88,8 +95,16 @@ class TestDelta:
 
     def test_delta_rank_bounded_by_r(self):
         ad = randomize_b(new_adapter("T01", CFG, r=3, rng=Rng(5)), 6)
-        for p in ad.targets:
-            assert np.linalg.matrix_rank(ad.delta_matrix(p)) <= ad.rank
+        for delta in effective_weights(Backbone(CFG), ad)[1]:
+            assert np.linalg.matrix_rank(delta.data) <= ad.rank
+
+    def test_effective_weight_is_frozen_weight_plus_delta(self):
+        bb = Backbone(CFG)
+        ad = randomize_b(new_adapter("T01", CFG, rng=Rng(5)), 7)
+        weights, deltas = effective_weights(bb, ad)
+        assert list(weights) == [f"layer{p.layer_index}.{p.kind.weight_name}" for p in ad.targets]
+        for (name, w), delta in zip(weights.items(), deltas):
+            np.testing.assert_array_equal(w.data, bb.params[name].data + delta.data)
 
 
 class TestAttach:
@@ -115,15 +130,14 @@ class TestAttach:
             attach(frozen_bb, new_adapter("T01", other, rng=Rng(1)))
 
     def test_unmerged_equals_explicit_w_plus_delta(self, frozen_bb):
-        # algebraic identity x(W + sAB) = xW + s(xA)B, checked through the
-        # full encoder with random nonzero adapters
+        # algebraic identity x(W + sAB) = xW + s(xA)B, checked through the full
+        # encoder with random nonzero adapters: attach and merge against the per-row oracle
+        t = tokenize("der stoff leitet strom und waerme", CFG)
         for seed in range(5):
             ad = randomize_b(new_adapter(f"T{seed}", CFG, rng=Rng(seed)), 100 + seed)
-            merged = merge(frozen_bb, ad)
-            t = tokenize("der stoff leitet strom und waerme", CFG)
-            h_unmerged = attach(frozen_bb, ad).encode(t).data
-            h_explicit = merged.encode(t).data
-            assert np.abs(h_unmerged - h_explicit).max() <= 1e-5
+            h_oracle = straight_line_encode(frozen_bb, t.ids, ad)
+            assert np.abs(attach(frozen_bb, ad).encode(t).data[0] - h_oracle).max() <= 1e-5
+            assert np.abs(merge(frozen_bb, ad).encode(t).data[0] - h_oracle).max() <= 1e-5
 
 
 class TestMergeUnmerge:
@@ -132,22 +146,26 @@ class TestMergeUnmerge:
         assert merged is not frozen_bb
         assert merged.fingerprint() == frozen_bb.fingerprint()
 
-    def test_round_trip_p64(self):
+    def test_merge_replaces_only_patched_weights_p64(self):
         bb = Backbone(CFG, P64).freeze()
-        for seed in range(5):
-            ad = randomize_b(new_adapter("T01", CFG, rng=Rng(seed), precision=P64), 50 + seed)
-            back = unmerge(merge(bb, ad), ad)
-            for name, m in bb.params.items():
-                assert np.abs(back.params[name].data - m.data).max() <= 1e-6
+        ad = randomize_b(new_adapter("T01", CFG, rng=Rng(3), precision=P64), 53)
+        merged = merge(bb, ad)
+        assert bb.fingerprint() == bb.frozen_fingerprint
+        patched = {f"layer{p.layer_index}.{p.kind.weight_name}" for p in ad.targets}
+        for name, m in bb.params.items():
+            assert (merged.params[name] is m) == (name not in patched)
 
     def test_merged_scoring_matches_unmerged_logits(self, frozen_bb):
         head = new_head("T01", 4, CFG.d_model, Rng(9))
+        w_head, b_head = head.weight.data.astype(np.float64), head.bias.data.astype(np.float64)
         t = tokenize("antwort mit einigen fachbegriffen", CFG)
         for seed in range(5):
             ad = randomize_b(new_adapter("T01", CFG, rng=Rng(seed)), 200 + seed)
-            z_unmerged = head_forward(head, attach(frozen_bb, ad).encode(t)).data
+            z_oracle = straight_line_encode(frozen_bb, t.ids, ad) @ w_head.T + b_head
+            z_attached = head_forward(head, attach(frozen_bb, ad).encode(t)).data
             z_merged = head_forward(head, merge(frozen_bb, ad).encode(t)).data
-            assert np.abs(z_unmerged - z_merged).max() <= 1e-5
+            assert np.abs(z_attached - z_oracle).max() <= 1e-5
+            assert np.abs(z_merged - z_oracle).max() <= 1e-5
 
     def test_trainable_fraction_bound(self, frozen_bb):
         ad = new_adapter("T01", CFG, rng=Rng(1))

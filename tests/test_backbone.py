@@ -33,6 +33,8 @@ from scoremux.errors import (
 )
 from scoremux.numerics import P64, Rng, Tape
 
+from conftest import straight_line_encode
+
 CFG = BackboneConfig()
 
 
@@ -42,42 +44,6 @@ def reference_fnv1a64(data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * 1099511628211) % (1 << 64)
     return h
-
-
-def straight_line_encode(bb: Backbone, ids: tuple[int, ...]) -> np.ndarray:
-    """Plain-numpy re-implementation of one forward pass; no tape, no ops."""
-    cfg = bb.config
-    p = {k: m.data.astype(np.float64) for k, m in bb.params.items()}
-    n = len(ids)
-    x = p["tok_emb"][list(ids)] + p["pos_emb"][:n]
-    dh = cfg.d_model // cfg.n_heads
-
-    def ln(v, gain, bias):
-        mu = v.mean(axis=1, keepdims=True)
-        var = v.var(axis=1, keepdims=True)
-        return (v - mu) / np.sqrt(var + 1e-5) * gain + bias
-
-    def row_softmax(s):
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
-    erf = np.vectorize(math.erf)
-    for i in range(cfg.n_layers):
-        pre = f"layer{i}."
-        q = x @ p[pre + "wq"] + p[pre + "bq"]
-        k = x @ p[pre + "wk"] + p[pre + "bk"]
-        v = x @ p[pre + "wv"] + p[pre + "bv"]
-        parts = []
-        for h in range(cfg.n_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
-            parts.append(row_softmax(scores) @ v[:, sl])
-        attended = np.concatenate(parts, axis=1) @ p[pre + "wo"] + p[pre + "bo"]
-        x = ln(x + attended, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
-        hidden = x @ p[pre + "w1"] + p[pre + "b1"]
-        hidden = 0.5 * hidden * (1.0 + erf(hidden / math.sqrt(2.0)))
-        x = ln(x + hidden @ p[pre + "w2"] + p[pre + "b2"], p[pre + "ln2.gain"], p[pre + "ln2.bias"])
-    return x[0]
 
 
 class TestTokenize:

@@ -229,6 +229,23 @@ class TestCompare:
         assert set(doc) == {"t", "p", "n", "significant_at_0.05"}
         assert doc["n"] == 5
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            pytest.param([1e308, -1e308], [-1e308, 1e308], id="differences-overflow"),
+            pytest.param([1e308, 1.5e308], [0, 0], id="mean-overflows"),
+        ],
+    )
+    def test_overflowing_differences_rejected(self, tmp_path, capsys, a, b):
+        # finite inputs whose differences, mean or sd leave the float range would print NaN
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        pa.write_text(json.dumps(a))
+        pb.write_text(json.dumps(b))
+        assert main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scoremux compare:") and captured.err.count("\n") == 1
+
     def test_non_numeric_vector_rejected(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         a.write_text(json.dumps(["x"]))
@@ -376,13 +393,49 @@ def serve_subprocess(workdir, manifest, stdin: bytes, encoding: str | None) -> l
     return [json.loads(line) for line in proc.stdout.decode().splitlines()]
 
 
-def test_benchmark_tracer_installs():
-    """Every name perfbench's tracer wraps still exists (install rewrites module globals, hence the subprocess)."""
+_TRACED_RUN = """
+import json, os, sys
+import tracer
+recorder = tracer.Recorder()
+tracer.install(recorder)
+from scoremux import orchestrator, trainer
+from scoremux.backbone import Backbone, BackboneConfig
+from scoremux.workbench import TaskSpec, generate_task
+bb = Backbone(BackboneConfig(vocab_size=60, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=24)).freeze()
+data = generate_task(TaskSpec("T00", 2, 40, seed=1))
+module, _ = trainer.train_task(bb, data, trainer.TrainConfig(max_epochs=1, patience=1, batch_size=16))
+path = os.path.join(sys.argv[1], "T00.mod")
+orchestrator.save_task_module(module, path)
+registry = orchestrator.Registry(capacity=1)
+registry.register("T00", path)
+answer = json.loads(orchestrator.handle_request_line(registry, bb, json.dumps({"id": 1, "task": "T00", "text": "ein"})))
+assert "label" in answer, answer
+spans = [rec for thread in recorder._threads for rec in thread]
+assert len(recorder._threads) == 1
+children = {}
+for i, rec in enumerate(spans):
+    children.setdefault(rec[0], set()).update(c[0] for c in spans if c[3] == i)
+print(json.dumps({name: sorted(kids) for name, kids in children.items()}))
+"""
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    """Every name perfbench's tracer wraps still exists, and its spans nest as perfbench/layers.py reads them.
+
+    install rewrites module globals, hence the subprocess. layers.py takes the
+    per-layer serve numbers from the direct children of `orchestrator.score`
+    and the train numbers from those of `trainer.train_task`; an empty list
+    there puts NaN on the benchmark's last line.
+    """
     root = os.path.dirname(os.path.dirname(os.path.dirname(scoremux.__file__)))
-    code = "import tracer; tracer.install(tracer.Recorder())"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), os.path.join(root, "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(tmp_path)], capture_output=True, env=env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    children = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert {"backbone.tokenize", "backbone.encode", "heads.predict"} <= set(children["orchestrator.score"])
+    assert {"trainer.step", "backbone.encode"} <= set(children["trainer.train_task"])
 
 
 def without_latency(doc: dict) -> dict:

@@ -164,35 +164,48 @@ class TestRegister:
 
 
 class TestEnsureLoadedLru:
-    def test_capacity_two_evicts_least_recent(self, module_dir):
+    def test_capacity_two_evicts_least_recent(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir, capacity=2)
         for tid in ("T00", "T01", "T02"):
-            reg.ensure_loaded(tid)
+            reg.ensure_loaded(tid, frozen_bb)
         assert reg.loaded_ids() == ["T01", "T02"]
         assert reg.stats.evictions == 1
 
-    def test_touch_refreshes_recency(self, module_dir):
+    def test_touch_refreshes_recency(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir, capacity=2)
-        reg.ensure_loaded("T00")
-        reg.ensure_loaded("T01")
-        reg.ensure_loaded("T00")  # refresh A
-        reg.ensure_loaded("T02")  # evicts B
+        reg.ensure_loaded("T00", frozen_bb)
+        reg.ensure_loaded("T01", frozen_bb)
+        reg.ensure_loaded("T00", frozen_bb)  # refresh A
+        reg.ensure_loaded("T02", frozen_bb)  # evicts B
         assert reg.loaded_ids() == ["T00", "T02"]
 
-    def test_rerequest_is_hit_without_eviction(self, module_dir):
+    def test_rerequest_is_hit_without_eviction(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir, capacity=2)
-        reg.ensure_loaded("T00")
+        reg.ensure_loaded("T00", frozen_bb)
         before = reg.stats.hits
-        reg.ensure_loaded("T00")
+        reg.ensure_loaded("T00", frozen_bb)
         assert reg.stats.hits == before + 1
         assert reg.stats.evictions == 0
 
-    def test_unknown_task(self, module_dir):
+    def test_weights_derived_once_per_admission(self, module_dir, frozen_bb, monkeypatch):
+        from scoremux import orchestrator
+
+        derived = []
+        real_attach = orchestrator.attach
+        monkeypatch.setattr(orchestrator, "attach", lambda bb, ad: derived.append(ad.task_id) or real_attach(bb, ad))
+        reg = fresh_registry(module_dir, capacity=2)
+        first = reg.ensure_loaded("T00", frozen_bb)
+        for tid in ("T00", "T00", "T01", "T00"):
+            reg.ensure_loaded(tid, frozen_bb)
+        assert derived == ["T00", "T01"]  # a hit builds nothing
+        assert reg.ensure_loaded("T00", frozen_bb).weights is first.weights
+
+    def test_unknown_task(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir)
         with pytest.raises(UnknownTaskError):
-            reg.ensure_loaded("T99")
+            reg.ensure_loaded("T99", frozen_bb)
 
-    def test_corrupt_file_leaves_registry_unchanged(self, module_dir, tmp_path):
+    def test_corrupt_file_leaves_registry_unchanged(self, module_dir, frozen_bb, tmp_path):
         path = tmp_path / "bad.mod"
         save_task_module(build_module("TBAD"), str(path))
         raw = bytearray(path.read_bytes())
@@ -200,10 +213,10 @@ class TestEnsureLoadedLru:
         path.write_bytes(bytes(raw))
         reg = fresh_registry(module_dir, capacity=2)
         reg.register("TBAD", str(path))
-        reg.ensure_loaded("T00")
+        reg.ensure_loaded("T00", frozen_bb)
         stats_before = (reg.stats.hits, reg.stats.misses, reg.stats.loads, reg.stats.evictions)
         with pytest.raises(ChecksumError):
-            reg.ensure_loaded("TBAD")
+            reg.ensure_loaded("TBAD", frozen_bb)
         assert reg.loaded_ids() == ["T00"]
         assert (reg.stats.hits, reg.stats.misses, reg.stats.loads, reg.stats.evictions) == stats_before
 
@@ -212,28 +225,33 @@ class TestEnsureLoadedLru:
         st.integers(1, 8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_lru_simulation(self, module_dir, accesses, capacity):
+    def test_matches_reference_lru_simulation(self, module_dir, frozen_bb, accesses, capacity):
         reg = fresh_registry(module_dir, capacity=capacity)
         names = [f"T{i:02d}" for i in accesses]
         for tid in names:
-            reg.ensure_loaded(tid)
+            reg.ensure_loaded(tid, frozen_bb)
         assert reg.loaded_ids() == reference_lru(names, capacity)
 
-    def test_stats_conservation_distinct_tasks(self, module_dir):
+    def test_stats_conservation_distinct_tasks(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir, capacity=4)
         for i in range(N_TASKS):
-            reg.ensure_loaded(f"T{i:02d}")
+            reg.ensure_loaded(f"T{i:02d}", frozen_bb)
         assert reg.stats.loads == N_TASKS
         assert reg.stats.evictions == max(0, reg.stats.loads - reg.capacity)
 
-    def test_memory_bound(self, module_dir):
+    def test_memory_bound(self, module_dir, frozen_bb):
+        # each resident module carries its effective Q and V weights: 2 layers x 2 x d x d float32 = 64 KB
+        derived = CFG.n_layers * 2 * CFG.d_model * CFG.d_model * 4
+        assert derived == 65536
         reg = fresh_registry(module_dir, capacity=3)
         max_bytes = 0
         for i in range(N_TASKS):
-            module = reg.ensure_loaded(f"T{i:02d}")
-            max_bytes = max(max_bytes, module.param_bytes())
+            module, _ = reg.ensure_loaded(f"T{i:02d}", frozen_bb)
+            max_bytes = max(max_bytes, module.param_bytes() + derived)
             assert reg.resident_module_bytes() <= reg.capacity * max_bytes
         assert len(reg.loaded_ids()) == 3
+        resident = [load_task_module(module_dir[tid]) for tid in reg.loaded_ids()]
+        assert reg.resident_module_bytes() == sum(m.param_bytes() + derived for m in resident)
 
 
 class TestScore:
@@ -474,20 +492,15 @@ class TestServe:
         expected = score(fresh_registry(paths, capacity=2), bb64, "T64", "eine antwort")
         assert served["probs"] == list(expected.probs)
 
-    def test_resident_float32_copy_reloaded_for_float64_backbone(self, tmp_path):
+    def test_resident_module_is_mismatch_for_backbone_of_other_width(self, module_dir, frozen_bb):
+        # a fingerprint hashes the parameter bytes, so it matches a backbone of one precision only
         bb64 = Backbone(CFG, P64).freeze()
-        module = build_module("T64", seed=4, randomize=True)
-        module.metadata = dataclasses.replace(module.metadata, backbone_fingerprint=bb64.frozen_fingerprint)
-        paths = {"T64": str(tmp_path / "T64.mod")}
-        save_task_module(module, paths["T64"])
-        reg = fresh_registry(paths, capacity=1)
-        reg.ensure_loaded("T64")  # no backbone: resident at float32
-        served = json.loads(handle_request_line(reg, bb64, self.make_request(1, "T64")))
-        expected = score(fresh_registry(paths, capacity=1), bb64, "T64", "eine antwort")
-        assert served["probs"] == list(expected.probs) and served["cache_hit"] is False
-        assert reg.loaded_ids() == ["T64"]
-        assert (reg.stats.loads, reg.stats.evictions) == (2, 0)
-        assert reg.ensure_loaded("T64").head.weight.precision is P64  # with no backbone, any width is a hit
+        reg = fresh_registry({"T01": module_dir["T01"]}, capacity=1)
+        score(reg, frozen_bb, "T01", "eine antwort")
+        doc = json.loads(handle_request_line(reg, bb64, self.make_request(1, "T01")))
+        assert doc == {"id": 1, "error": "backbone_mismatch"}
+        assert reg.loaded_ids() == ["T01"]
+        assert (reg.stats.loads, reg.stats.hits, reg.stats.misses) == (1, 0, 1)
 
     def test_nonfinite_head_is_internal_error(self, module_dir, frozen_bb, tmp_path):
         module = build_module("TNaN", seed=3)

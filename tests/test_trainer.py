@@ -8,8 +8,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from scoremux.adapters import TargetKind, TargetPatch, LoraAdapter, new_adapter
-from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, save_backbone, tokenize
+from scoremux.adapters import TargetKind, TargetPatch, LoraAdapter, attach, effective_weights, new_adapter
+from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, TokenSeq, save_backbone, tokenize
 from scoremux.data import ScoredResponse, TaskDataset, split_dataset
 from scoremux.errors import ContractError, FrozenViolationError
 from scoremux.evalkit import qwk
@@ -83,21 +83,25 @@ class TestTotalLoss:
     def fresh_ce(self):
         return matrix([[1.25]], P64)
 
+    def deltas(self, adapter, config=BackboneConfig()):
+        return effective_weights(Backbone(config, adapter.targets[0].a.precision), adapter)[1]
+
     def test_lambda_zero_returns_ce_exactly(self):
         ad = new_adapter("t", BackboneConfig(), rng=Rng(1))
         ce = self.fresh_ce()
-        assert total_loss(ce, ad, 0.0) is ce
+        assert total_loss(ce, self.deltas(ad), 0.0) is ce
 
     def test_fresh_adapter_adds_nothing(self):
         ad = new_adapter("t", BackboneConfig(), rng=Rng(1), precision=P64)
         ce = self.fresh_ce()
-        assert total_loss(ce, ad, 0.5).item() == pytest.approx(ce.item(), abs=1e-12)
+        assert total_loss(ce, self.deltas(ad), 0.5).item() == pytest.approx(ce.item(), abs=1e-12)
 
     def test_known_penalty(self):
         # single patch, ||delta||_F = 2, lambda = 0.1 -> ce + 0.4
         patch = TargetPatch(0, TargetKind.QUERY_PROJ, matrix([[2.0], [0.0]], P64), matrix([[1.0, 0.0]], P64))
         ad = LoraAdapter("t", 1, 1.0, [patch])
-        out = total_loss(self.fresh_ce(), ad, 0.1)
+        tiny = BackboneConfig(vocab_size=8, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq_len=4)
+        out = total_loss(self.fresh_ce(), self.deltas(ad, tiny), 0.1)
         assert out.item() == pytest.approx(1.25 + 0.4, abs=1e-9)
 
 
@@ -214,11 +218,10 @@ def tiny_setup(seed):
 
 
 def module_loss(bb, adapter, head, seqs, labels, reg_lambda):
-    from scoremux.backbone import TokenSeq
-
-    hiddens = concat_rows([bb.encode(TokenSeq(s), adapter) for s in seqs])
+    weights, deltas = effective_weights(bb, adapter)
+    hiddens = concat_rows([bb.encode(TokenSeq(s), weights) for s in seqs])
     ce = cross_entropy(head_forward(head, hiddens), labels)
-    return total_loss(ce, adapter, reg_lambda)
+    return total_loss(ce, deltas, reg_lambda)
 
 
 class TestGradientCorrectness:
@@ -314,7 +317,7 @@ class TestTrainTask:
         assert report.best_epoch < report.stopped_epoch
         assert len(report.lr_schedule) == report.stopped_epoch * math.ceil(len(ds.splits.train) / cfg.batch_size)
         val = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.val]
-        val_loss, _ = _eval_split(frozen, module.adapter, module.head, val, cfg.batch_size)
+        val_loss, _ = _eval_split(frozen, attach(frozen, module.adapter).weights, module.head, val, cfg.batch_size)
         assert val_loss == report.epochs[report.best_epoch - 1].val_loss
 
     def test_eval_split_matches_per_item_predict(self, frozen):
@@ -322,9 +325,10 @@ class TestTrainTask:
         module, _ = train_task(frozen, ds, TrainConfig(learning_rate=2e-2, max_epochs=3, seed=4))
         examples = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.train]
         golds = [y for _, y in examples]
-        per_item = [predict(module.head, frozen.encode(t, module.adapter)) for t, _ in examples]
+        model = attach(frozen, module.adapter)
+        per_item = [predict(module.head, model.encode(t)) for t, _ in examples]
         ref_loss = sum(-math.log(max(float(p[y]), 1e-12)) for (_, p), y in zip(per_item, golds)) / len(golds)
-        loss, agreement = _eval_split(frozen, module.adapter, module.head, examples, 7)
+        loss, agreement = _eval_split(frozen, model.weights, module.head, examples, 7)
         # batched and single-row float32 encodes differ in the last bits only
         assert loss == pytest.approx(ref_loss, abs=1e-5)
         assert agreement == qwk(golds, [label for label, _ in per_item], ds.num_classes)
