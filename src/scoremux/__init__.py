@@ -4,12 +4,12 @@ The package splits into:
 
 - ``numerics``: dense matrices, seeded RNG, reverse-mode gradient tape
 - ``backbone``: hash tokenizer, transformer encoder, MLM pretraining, checkpoints
-- ``adapters``: low-rank task adapters (effective weights W + s·A·B, attach, merge, files)
+- ``adapters``: low-rank task adapters (effective weights W + s·A·B, merge, files)
 - ``heads``: per-task classification heads
 - ``data``: scored-response datasets, 80/10/10 splits, JSONL
 - ``trainer``: one optimizer loop (Adam, warmup, clipping) for fine-tuning with early
   stopping, MLM pretraining and the full-model baseline
-- ``orchestrator``: task-module files, LRU registry, scoring, serving
+- ``orchestrator``: task-module files, LRU registry (the one admission path), scoring, serving
 - ``evalkit``: QWK / accuracy / macro-F1, paired t-test, eval reports
 - ``workbench``: synthetic task generator, efficiency benchmark
 - ``cli``: the ``scoremux`` command
@@ -17,12 +17,10 @@ The package splits into:
 
 from . import errors
 from .adapters import (
-    AdaptedModel,
     LoraAdapter,
     LoraConfig,
     TargetKind,
     TargetPatch,
-    attach,
     effective_weights,
     load_adapter,
     merge,
@@ -66,8 +64,8 @@ __all__ = [
     "Backbone", "BackboneConfig", "TokenSeq", "tokenize",
     "mlm_step", "save_backbone", "load_backbone",
     # adapters
-    "LoraAdapter", "LoraConfig", "TargetKind", "TargetPatch", "AdaptedModel",
-    "new_adapter", "effective_weights", "attach", "merge", "save_adapter", "load_adapter",
+    "LoraAdapter", "LoraConfig", "TargetKind", "TargetPatch",
+    "new_adapter", "effective_weights", "merge", "save_adapter", "load_adapter",
     # heads
     "ClassificationHead", "new_head", "head_forward", "predict",
     # data

@@ -1,4 +1,4 @@
-"""Per-task low-rank adapters: creation, effective weights, attach, merge, files.
+"""Per-task low-rank adapters: creation, effective weights, merge, files.
 
 An adapter patches the attention query and value projections of every
 backbone layer with a rank-r update. `effective_weights` is the one place the
@@ -6,8 +6,9 @@ update is formed: it builds each patched weight as W + s * A @ B from tape
 ops, and the encoder reads the result in place of the frozen weight, so
 serving, training, validation and `merge` all run the same x @ W' forward and
 the frozen backbone is never touched. Training records it on the tape each
-step; `attach` derives it once with no tape. The scale is s = alpha / r, and
-the adapter file stores (r, alpha).
+step; `orchestrator.Registry`, the one place a task module meets a backbone
+for scoring, derives it once with no tape when it admits the module. The
+scale is s = alpha / r, and the adapter file stores (r, alpha).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .backbone import Backbone, BackboneConfig, TokenSeq
-from .errors import ContractError, FileFormatError, RankError, ShapeError
+from .backbone import Backbone, BackboneConfig
+from .errors import FileFormatError, RankError, ShapeError
 from .numerics import Matrix, P32, Precision, Rng, add, matmul, scale
 from .serialize import Reader, Writer
 
@@ -152,23 +153,6 @@ def effective_weights(backbone: Backbone, adapter: LoraAdapter) -> tuple[dict[st
         weights[name] = add(backbone.params[name], delta)
         deltas.append(delta)
     return weights, deltas
-
-
-@dataclass(frozen=True)
-class AdaptedModel:
-    """A frozen backbone and one adapter's effective weights, derived once by `attach`."""
-
-    backbone: Backbone
-    weights: dict[str, Matrix]
-
-    def encode(self, tokens: TokenSeq) -> Matrix:
-        return self.backbone.encode(tokens, self.weights)
-
-
-def attach(backbone: Backbone, adapter: LoraAdapter) -> AdaptedModel:
-    if not backbone.frozen:
-        raise ContractError("attach requires a frozen backbone")
-    return AdaptedModel(backbone=backbone, weights=effective_weights(backbone, adapter)[0])
 
 
 def merge(backbone: Backbone, adapter: LoraAdapter) -> Backbone:

@@ -12,11 +12,12 @@ import io
 import json
 import os
 import sys
+import typing
 
 from .adapters import LoraConfig
 from .backbone import Backbone, BackboneConfig, load_backbone, save_backbone, tokenize
 from .data import load_jsonl, split_dataset
-from .errors import ScoreMuxError
+from .errors import ContractError, ScoreMuxError
 from .evalkit import evaluate, paired_t_test
 from .numerics import P32, P64
 from .orchestrator import (
@@ -129,6 +130,13 @@ def cmd_gen_data(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        types = typing.get_type_hints(TaskSpec)  # field -> type; `type(v) is int` refuses a boolean
+        if not isinstance(raw, list) or not all(
+            isinstance(entry, dict) and "task_id" in entry and all(type(v) is types.get(k) for k, v in entry.items())
+            for entry in raw
+        ):
+            fields = ", ".join(f"{name} ({kind.__name__})" for name, kind in types.items())
+            raise ContractError(f"{args.spec}: not a JSON array of objects with a task_id and only the fields {fields}")
         specs = [TaskSpec(**entry) for entry in raw]
     else:
         specs = default_specs(n_tasks=args.tasks, n_items=args.items, seed=args.seed)

@@ -82,7 +82,7 @@ def save_jsonl(dataset: TaskDataset, path: str) -> None:
 
 
 def load_jsonl(path: str) -> TaskDataset:
-    """Read one task's responses; num_classes is max(score) + 1, at least 2."""
+    """One task's responses (string text, JSON-integer score, one string task); num_classes max(score) + 1, >= 2."""
     items = []
     task_id = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -92,10 +92,15 @@ def load_jsonl(path: str) -> TaskDataset:
                 continue
             try:
                 rec = json.loads(line)
-                items.append(ScoredResponse(text=rec["text"], score=int(rec["score"])))
-                task_id = rec["task"]
+                text, score, task = rec["text"], rec["score"], rec["task"]
+                if not isinstance(text, str) or type(score) is not int or not isinstance(task, str):
+                    raise TypeError("text and task must be strings and score an integer")
+                if task_id is not None and task != task_id:
+                    raise ValueError(f"task {task!r} is not the file's task {task_id!r}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ContractError(f"{path}:{line_no}: bad dataset record ({exc})") from exc
+            items.append(ScoredResponse(text=text, score=score))
+            task_id = task
     if not items:
         raise ContractError(f"{path}: empty dataset")
     return TaskDataset(task_id=task_id, num_classes=max(2, max(item.score for item in items) + 1), items=items)

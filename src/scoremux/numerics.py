@@ -123,11 +123,6 @@ class Matrix:
     def identity(cls, n: int, precision: Precision = P32) -> "Matrix":
         return cls(np.eye(n, dtype=precision.dtype))
 
-    def astype(self, precision: Precision) -> "Matrix":
-        if precision is self.precision:
-            return self
-        return Matrix(self.data.astype(precision.dtype))
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() requires a 1x1 matrix, got {self.shape}")

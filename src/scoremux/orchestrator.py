@@ -3,10 +3,10 @@
 A TaskModule is the deployable unit for one task: adapter + head in a single
 file, loaded on demand. The Registry keeps at most `capacity` modules
 resident, evicting least-recently-used; modules being scored are pinned and
-cannot be evicted until their in-flight requests finish. It alone admits a
-module: at the scoring backbone's precision, and only if trained against that
-backbone, checked before the module takes a slot; it then derives the
-module's effective weights once (`adapters.attach`) and keeps them with it.
+cannot be evicted until their in-flight requests finish. It is the one place
+a module meets a backbone: it reads the module at the backbone's precision,
+refuses one trained against another backbone before it takes a slot, and
+keeps the effective weights it derives once (`adapters.effective_weights`).
 `score` answers one request; `score_tokens` scores a whole tokenized split in
 packed batches for validation and evaluation. Both end in
 `heads.class_probs`. The wire protocol is newline-delimited UTF-8 JSON over
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapters import ADAPTER_MAGIC, ADAPTER_VERSION, LoraAdapter, adapter_from_bytes, adapter_to_bytes, attach
+from .adapters import ADAPTER_MAGIC, ADAPTER_VERSION, LoraAdapter, adapter_from_bytes, adapter_to_bytes, effective_weights
 from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
     BackboneMismatchError,
@@ -237,7 +237,7 @@ class Registry:
                 self._loaded.move_to_end(task_id)
                 self.stats.hits += 1
             else:
-                entry = Resident(module, attach(backbone, module.adapter).weights)
+                entry = Resident(module, effective_weights(backbone, module.adapter)[0])
                 self.stats.load_time_us += (time.perf_counter_ns() - t0) // 1000
                 while len(self._loaded) >= self.capacity and not self._evictable():
                     self._cond.wait()

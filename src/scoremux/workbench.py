@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .adapters import attach
 from .backbone import Backbone, load_backbone, tokenize
 from .data import ScoredResponse, TaskDataset, save_jsonl, split_dataset
 from .errors import BenchError, ContractError
@@ -212,9 +211,12 @@ def run_benchmark(
 ) -> BenchReport:
     """Byte accounting plus measured switch latency, framework vs baseline.
 
-    Framework switch: read one task-module file and attach it, which derives
-    its effective weights. Baseline switch: reload a full backbone checkpoint
-    plus the task's head, simulating one fully fine-tuned model per task.
+    Framework switch: `Registry.ensure_loaded` on a fresh one-slot registry, a
+    miss doing what a served miss does: read the module file, check its backbone
+    fingerprint (BackboneMismatchError), derive its effective weights, insert it.
+    Baseline switch: reload a full backbone checkpoint (checked once to hold the
+    scored backbone) plus the task's head, simulating one fully fine-tuned model
+    per task.
     Byte totals are exact shape-derived parameter bytes (MLM head excluded: a
     deployed scorer does not ship it).
     """
@@ -224,6 +226,8 @@ def run_benchmark(
     for tid in task_ids:
         if not os.path.exists(module_paths[tid]):
             raise BenchError(f"missing module file for task {tid!r}: {module_paths[tid]}")
+    if load_backbone(backbone_checkpoint).fingerprint() != backbone.fingerprint():
+        raise BenchError(f"checkpoint {backbone_checkpoint} does not hold the scored backbone's weights")
 
     modules = {tid: load_task_module(module_paths[tid], backbone.precision) for tid in task_ids}
     backbone_bytes = backbone.param_bytes(include_mlm_head=False)
@@ -236,15 +240,15 @@ def run_benchmark(
     bl_samples: list[int] = []
     for i in range(switches):
         tid = task_ids[i % len(task_ids)]
+        registry = Registry(capacity=1)
+        registry.register(tid, module_paths[tid])
         t0 = time.perf_counter_ns()
-        module = load_task_module(module_paths[tid], backbone.precision)
-        attach(backbone, module.adapter)
+        registry.ensure_loaded(tid, backbone)
         fw_samples.append((time.perf_counter_ns() - t0) // 1000)
 
         t0 = time.perf_counter_ns()
-        reloaded = load_backbone(backbone_checkpoint)
+        full_model = load_backbone(backbone_checkpoint)  # held until the next switch replaces it, like a registry slot
         load_task_module(module_paths[tid], backbone.precision)  # baseline still ships a head
-        assert reloaded.config == backbone.config
         bl_samples.append((time.perf_counter_ns() - t0) // 1000)
     fw_samples = fw_samples[warmup_discard:]
     bl_samples = bl_samples[warmup_discard:]
@@ -299,7 +303,8 @@ def train_full_baseline(backbone: Backbone, dataset: TaskDataset, config: TrainC
         split_dataset(dataset, cfg.seed)
     splits = dataset.splits
     head = new_head(dataset.task_id, dataset.num_classes, clone.config.d_model, Rng(cfg.seed), clone.precision)
-    slots = backbone_slots(clone, sorted(clone.params)) + head_slots(head)
+    # classifier_loss never reads the MLM head, so Adam gets no slot for it
+    slots = backbone_slots(clone, [n for n in sorted(clone.params) if n != "mlm_head"]) + head_slots(head)
 
     def examples(items):
         return [(tokenize(it.text, clone.config), it.score) for it in items]

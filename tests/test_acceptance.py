@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scoremux.adapters import attach, effective_weights, load_adapter, merge, new_adapter, save_adapter
+from scoremux.adapters import effective_weights, load_adapter, merge, new_adapter, save_adapter
 from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, TokenSeq, load_backbone, save_backbone, tokenize
 from scoremux.errors import ChecksumError
 from scoremux.evalkit import qwk
@@ -80,9 +80,9 @@ def campaign(tmp_path_factory):
         save_task_module(module, str(path))
         module_paths[spec.task_id] = str(path)
         golds, preds = [], []
-        model = attach(backbone, module.adapter)
+        weights = effective_weights(backbone, module.adapter)[0]
         for item in dataset.splits.test:
-            label, _ = predict(module.head, model.encode(tokenize(item.text, backbone.config)))
+            label, _ = predict(module.head, backbone.encode(tokenize(item.text, backbone.config), weights))
             golds.append(item.score)
             preds.append(label)
         with warnings.catch_warnings():
@@ -100,7 +100,8 @@ def campaign(tmp_path_factory):
 
 
 def test_criterion_1_merged_unmerged_equivalence():
-    # attach and merge both run x @ (W + s A B); the oracle is the unmerged per-row x @ W + s (x @ A) @ B
+    # the effective-weight encode and merge both run x @ (W + s A B); the oracle is the unmerged per-row
+    # x @ W + s (x @ A) @ B
     results = {}
     for precision, tol in ((P32, 1e-5), (P64, 1e-10)):
         backbone = Backbone(BackboneConfig(seed=11), precision).freeze()
@@ -115,14 +116,14 @@ def test_criterion_1_merged_unmerged_equivalence():
             ids = tuple([CLS_ID] + list(gen.integers(4, backbone.config.vocab_size, size=12)))
             tokens = TokenSeq(ids)
             z_oracle = straight_line_encode(backbone, ids, adapter) @ w_head.T + b_head
-            z_attached = head_forward(head, attach(backbone, adapter).encode(tokens)).data
+            z_adapted = head_forward(head, backbone.encode(tokens, effective_weights(backbone, adapter)[0])).data
             z_merged = head_forward(head, merge(backbone, adapter).encode(tokens)).data
-            worst = max(worst, float(np.abs(z_attached - z_oracle).max()), float(np.abs(z_merged - z_oracle).max()))
+            worst = max(worst, float(np.abs(z_adapted - z_oracle).max()), float(np.abs(z_merged - z_oracle).max()))
         results[precision.name] = (worst, worst <= tol)
     ok = all(flag for _, flag in results.values())
     criterion(
         1, ok,
-        "attach and merge logits vs the unmerged per-row oracle over 100 random adapters each: "
+        "effective-weight and merge logits vs the unmerged per-row oracle over 100 random adapters each: "
         f"P32 max diff {results['P32'][0]:.2e} (tol 1e-5), P64 max diff {results['P64'][0]:.2e} (tol 1e-10)",
     )
 
@@ -135,7 +136,7 @@ def test_criterion_2_zero_init_neutrality():
         head = new_head("t", 3, backbone.config.d_model, Rng(seed))
         text = f"eine antwort nummer {seed} mit mehreren begriffen"
         tokens = tokenize(text, backbone.config)
-        h_adapted = attach(backbone, adapter).encode(tokens)
+        h_adapted = backbone.encode(tokens, effective_weights(backbone, adapter)[0])
         h_bare = backbone.encode(tokens)
         l1, p1 = predict(head, h_adapted)
         l2, p2 = predict(head, h_bare)

@@ -1,4 +1,4 @@
-"""Adapter creation, delta algebra, effective weights, attach/merge against the per-row oracle, file format."""
+"""Adapter creation, delta algebra, effective weights and merge against the per-row oracle, file format."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from scoremux.adapters import (
     TargetKind,
     TargetPatch,
     adapter_to_bytes,
-    attach,
     effective_weights,
     load_adapter,
     merge,
@@ -18,7 +17,7 @@ from scoremux.adapters import (
     save_adapter,
 )
 from scoremux.backbone import Backbone, BackboneConfig, tokenize
-from scoremux.errors import ChecksumError, ContractError, RankError, ShapeError
+from scoremux.errors import ChecksumError, RankError, ShapeError
 from scoremux.heads import head_forward, new_head
 from scoremux.numerics import Matrix, P64, Rng, matrix
 
@@ -108,35 +107,33 @@ class TestDelta:
 
 
 class TestAttach:
+    """An adapter attached to a frozen backbone: the encoder reads its effective weights."""
+
     def test_zero_init_adapter_is_neutral(self, frozen_bb):
-        ad = new_adapter("T01", CFG, rng=Rng(2))
-        model = attach(frozen_bb, ad)
+        weights = effective_weights(frozen_bb, new_adapter("T01", CFG, rng=Rng(2)))[0]
         for text in ("", "der strom fliesst", "eine lange antwort mit vielen worten"):
             t = tokenize(text, CFG)
-            np.testing.assert_array_equal(model.encode(t).data, frozen_bb.encode(t).data)
+            np.testing.assert_array_equal(frozen_bb.encode(t, weights).data, frozen_bb.encode(t).data)
 
     def test_fingerprint_unchanged_by_attach(self, frozen_bb):
         before = frozen_bb.fingerprint()
-        attach(frozen_bb, randomize_b(new_adapter("T01", CFG, rng=Rng(2)), 3))
+        effective_weights(frozen_bb, randomize_b(new_adapter("T01", CFG, rng=Rng(2)), 3))
         assert frozen_bb.fingerprint() == before == frozen_bb.frozen_fingerprint
-
-    def test_unfrozen_backbone_rejected(self):
-        with pytest.raises(ContractError, match="frozen"):
-            attach(Backbone(CFG), new_adapter("T01", CFG, rng=Rng(1)))
 
     def test_dimension_mismatch_rejected(self, frozen_bb):
         other = BackboneConfig(d_model=32, n_heads=2)
         with pytest.raises(ShapeError):
-            attach(frozen_bb, new_adapter("T01", other, rng=Rng(1)))
+            effective_weights(frozen_bb, new_adapter("T01", other, rng=Rng(1)))
 
     def test_unmerged_equals_explicit_w_plus_delta(self, frozen_bb):
         # algebraic identity x(W + sAB) = xW + s(xA)B, checked through the full
-        # encoder with random nonzero adapters: attach and merge against the per-row oracle
+        # encoder with random nonzero adapters: effective weights and merge against the per-row oracle
         t = tokenize("der stoff leitet strom und waerme", CFG)
         for seed in range(5):
             ad = randomize_b(new_adapter(f"T{seed}", CFG, rng=Rng(seed)), 100 + seed)
             h_oracle = straight_line_encode(frozen_bb, t.ids, ad)
-            assert np.abs(attach(frozen_bb, ad).encode(t).data[0] - h_oracle).max() <= 1e-5
+            h = frozen_bb.encode(t, effective_weights(frozen_bb, ad)[0])
+            assert np.abs(h.data[0] - h_oracle).max() <= 1e-5
             assert np.abs(merge(frozen_bb, ad).encode(t).data[0] - h_oracle).max() <= 1e-5
 
 
@@ -162,9 +159,9 @@ class TestMergeUnmerge:
         for seed in range(5):
             ad = randomize_b(new_adapter("T01", CFG, rng=Rng(seed)), 200 + seed)
             z_oracle = straight_line_encode(frozen_bb, t.ids, ad) @ w_head.T + b_head
-            z_attached = head_forward(head, attach(frozen_bb, ad).encode(t)).data
+            z_adapted = head_forward(head, frozen_bb.encode(t, effective_weights(frozen_bb, ad)[0])).data
             z_merged = head_forward(head, merge(frozen_bb, ad).encode(t)).data
-            assert np.abs(z_attached - z_oracle).max() <= 1e-5
+            assert np.abs(z_adapted - z_oracle).max() <= 1e-5
             assert np.abs(z_merged - z_oracle).max() <= 1e-5
 
     def test_trainable_fraction_bound(self, frozen_bb):
@@ -211,15 +208,14 @@ class TestAdapterFile:
         assert 4 * 2048 * 4 == 32768  # payload scalars: 4 patches x 2048 x f32
 
 
-class TestAdaptedModelThreadSafety:
+class TestConcurrentAdaptedEncode:
     def test_concurrent_encodes_agree(self, frozen_bb):
         import concurrent.futures
 
-        ad = randomize_b(new_adapter("T01", CFG, rng=Rng(4)), 5)
-        model = attach(frozen_bb, ad)
+        weights = effective_weights(frozen_bb, randomize_b(new_adapter("T01", CFG, rng=Rng(4)), 5))[0]
         t = tokenize("der strom fliesst durch den leiter", CFG)
-        expected = model.encode(t).data
+        expected = frozen_bb.encode(t, weights).data
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: model.encode(t).data, range(32)))
+            results = list(pool.map(lambda _: frozen_bb.encode(t, weights).data, range(32)))
         for r in results:
             np.testing.assert_array_equal(r, expected)

@@ -78,6 +78,26 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "A1.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param([{"task_id": "T00", "bogus": 1}], id="unknown-key"),
+            pytest.param([5], id="entry-not-object"),
+            pytest.param({"task_id": "T00"}, id="not-array"),
+            pytest.param([{"num_classes": 2}], id="no-task-id"),
+            pytest.param([{"task_id": "T00", "num_classes": 2.5}], id="float-for-int"),
+            pytest.param([{"task_id": "T00", "seed": True}], id="bool-for-int"),
+            pytest.param([{"task_id": 7}], id="int-for-str"),
+        ],
+    )
+    def test_bad_spec_exits_1_with_one_line(self, tmp_path, capsys, raw):
+        spec = tmp_path / "specs.json"
+        spec.write_text(json.dumps(raw))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scoremux gen-data:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestPretrain:
     def test_checkpoint_is_frozen_and_loadable(self, workdir):
@@ -186,6 +206,19 @@ class TestBench:
         err = capsys.readouterr().err.strip()
         assert err.startswith("scoremux bench:") and "another backbone" in err and "\n" not in err
 
+    def test_module_for_another_backbone_exits_1(self, workdir, tmp_path, capsys):
+        other = tmp_path / "other.bin"
+        assert main(["pretrain", "--out", str(other), "--seed", "9", *TINY_BACKBONE]) == 0
+        capsys.readouterr()
+        assert main([
+            "bench", "--backbone", str(other), "--modules", str(workdir / "modules"),
+            "--switches", "12", "--requests", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("scoremux bench:") and "another backbone" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_accuracy_baselines_requires_data(self, workdir, capsys):
         assert main([
             "bench", "--backbone", str(workdir / "backbone.bin"),
@@ -278,6 +311,17 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("scoremux finetune:") and "\n" not in err
+
+    def test_bad_dataset_record_single_line_diagnostic(self, workdir, tmp_path, capsys):
+        data = tmp_path / "T.jsonl"
+        data.write_text("".join(json.dumps({"task": "T", "text": i, "score": 0}) + "\n" for i in range(20)))
+        code = main([
+            "finetune", "--backbone", str(workdir / "backbone.bin"),
+            "--data", str(data), "--out", str(tmp_path / "x.mod"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scoremux finetune:") and "T.jsonl:1:" in err and err.count("\n") == 1
 
 
 class TestOptions:

@@ -308,7 +308,7 @@ class TestCrossEntropy:
     def test_p32_loss_matches_p64(self, rng):
         logits = rand_matrix(rng, 6, 5, scl=4.0)
         labels = [0, 1, 2, 3, 4, 0]
-        lo = cross_entropy(logits.astype(P32), labels)
+        lo = cross_entropy(Matrix(logits.data.astype(P32.dtype)), labels)
         assert lo.precision is P32
         assert lo.item() == pytest.approx(cross_entropy(logits, labels).item(), rel=1e-6)
 
@@ -382,7 +382,7 @@ class TestSegmentAttention:
         with pytest.raises(ShapeError, match="differ"):
             segment_attention(q, rand_matrix(rng, 5, 2), q, [5], 2)
         with pytest.raises(ContractError, match="mixed precision"):
-            segment_attention(q, q.astype(P32), q, [5], 2)
+            segment_attention(q, Matrix(q.data.astype(P32.dtype)), q, [5], 2)
 
 
 class TestRng:

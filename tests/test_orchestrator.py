@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoremux.adapters import attach, new_adapter
+from scoremux.adapters import effective_weights, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, tokenize
 from scoremux.errors import (
     BackboneMismatchError,
@@ -191,8 +191,8 @@ class TestEnsureLoadedLru:
         from scoremux import orchestrator
 
         derived = []
-        real_attach = orchestrator.attach
-        monkeypatch.setattr(orchestrator, "attach", lambda bb, ad: derived.append(ad.task_id) or real_attach(bb, ad))
+        real = orchestrator.effective_weights
+        monkeypatch.setattr(orchestrator, "effective_weights", lambda b, ad: derived.append(ad.task_id) or real(b, ad))
         reg = fresh_registry(module_dir, capacity=2)
         first = reg.ensure_loaded("T00", frozen_bb)
         for tid in ("T00", "T00", "T01", "T00"):
@@ -279,7 +279,7 @@ class TestScore:
         reg = fresh_registry(module_dir)
         result = score(reg, frozen_bb, "T07", "woerter ueber energie")
         module = load_task_module(module_dir["T07"])
-        h = attach(frozen_bb, module.adapter).encode(tokenize("woerter ueber energie", CFG))
+        h = frozen_bb.encode(tokenize("woerter ueber energie", CFG), effective_weights(frozen_bb, module.adapter)[0])
         label, probs = predict(module.head, h)
         assert result.label == label
         assert result.probs == tuple(float(p) for p in probs)

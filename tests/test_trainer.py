@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from scoremux.adapters import TargetKind, TargetPatch, LoraAdapter, attach, effective_weights, new_adapter
+from scoremux.adapters import TargetKind, TargetPatch, LoraAdapter, effective_weights, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, TokenSeq, save_backbone, tokenize
 from scoremux.data import ScoredResponse, TaskDataset, split_dataset
 from scoremux.errors import ContractError, FrozenViolationError
@@ -317,7 +317,8 @@ class TestTrainTask:
         assert report.best_epoch < report.stopped_epoch
         assert len(report.lr_schedule) == report.stopped_epoch * math.ceil(len(ds.splits.train) / cfg.batch_size)
         val = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.val]
-        val_loss, _ = _eval_split(frozen, attach(frozen, module.adapter).weights, module.head, val, cfg.batch_size)
+        weights = effective_weights(frozen, module.adapter)[0]
+        val_loss, _ = _eval_split(frozen, weights, module.head, val, cfg.batch_size)
         assert val_loss == report.epochs[report.best_epoch - 1].val_loss
 
     def test_eval_split_matches_per_item_predict(self, frozen):
@@ -325,10 +326,10 @@ class TestTrainTask:
         module, _ = train_task(frozen, ds, TrainConfig(learning_rate=2e-2, max_epochs=3, seed=4))
         examples = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.train]
         golds = [y for _, y in examples]
-        model = attach(frozen, module.adapter)
-        per_item = [predict(module.head, model.encode(t)) for t, _ in examples]
+        weights = effective_weights(frozen, module.adapter)[0]
+        per_item = [predict(module.head, frozen.encode(t, weights)) for t, _ in examples]
         ref_loss = sum(-math.log(max(float(p[y]), 1e-12)) for (_, p), y in zip(per_item, golds)) / len(golds)
-        loss, agreement = _eval_split(frozen, model.weights, module.head, examples, 7)
+        loss, agreement = _eval_split(frozen, weights, module.head, examples, 7)
         # batched and single-row float32 encodes differ in the last bits only
         assert loss == pytest.approx(ref_loss, abs=1e-5)
         assert agreement == qwk(golds, [label for label, _ in per_item], ds.num_classes)

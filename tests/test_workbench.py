@@ -10,9 +10,9 @@ import pytest
 
 from scoremux.backbone import Backbone, BackboneConfig, save_backbone
 from scoremux.data import load_jsonl
-from scoremux.errors import BenchError, ContractError
+from scoremux.errors import BackboneMismatchError, BenchError, ContractError
 from scoremux.heads import new_head
-from scoremux.numerics import Rng
+from scoremux.numerics import Matrix, Rng
 from scoremux.orchestrator import ModuleMetadata, TaskModule, save_task_module
 from scoremux.adapters import new_adapter
 from scoremux.trainer import TrainConfig
@@ -108,6 +108,21 @@ class TestGenerator:
         assert loaded.task_id == "T03"
         assert len(loaded.items) == 60
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param({"task": "A", "text": 5, "score": 1}, id="text-not-string"),
+            pytest.param({"task": "A", "text": "y", "score": 0.9}, id="float-score"),
+            pytest.param({"task": "A", "text": "y", "score": True}, id="bool-score"),
+            pytest.param({"task": "B", "text": "y", "score": 1}, id="other-task"),
+        ],
+    )
+    def test_load_jsonl_bad_record_named_by_line(self, tmp_path, bad):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"task": "A", "text": "x", "score": 0}) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ContractError, match=r"d\.jsonl:2: "):
+            load_jsonl(str(path))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ContractError, match="duplicate"):
             generate_tasks([TaskSpec("T", seed=1, n_items=60), TaskSpec("T", seed=2, n_items=60)])
@@ -165,6 +180,31 @@ class TestBenchmark:
         assert w["hits"] + w["misses"] == 40
         assert w["evictions"] == max(0, w["loads"] - 2)
 
+    def test_each_framework_switch_is_one_registry_admission(self, tmp_path, monkeypatch):
+        from scoremux import orchestrator
+
+        bb, ckpt, paths = build_bench_env(tmp_path, n_tasks=1)
+        derived = []
+        real = orchestrator.effective_weights
+        monkeypatch.setattr(orchestrator, "effective_weights", lambda b, ad: derived.append(ad.task_id) or real(b, ad))
+        run_benchmark(bb, paths, ckpt, workload=None, switches=12, warmup_discard=2)
+        assert derived == ["T00"] * 12  # a one-slot registry per switch: a miss even with one task
+
+    def test_module_for_another_backbone_refused(self, tmp_path):
+        _, _, paths = build_bench_env(tmp_path)
+        other = Backbone(dataclasses.replace(CFG, seed=6)).freeze()
+        save_backbone(other, str(tmp_path / "other.bin"))
+        with pytest.raises(BackboneMismatchError):
+            run_benchmark(other, paths, str(tmp_path / "other.bin"), switches=12, warmup_discard=2)
+
+    def test_checkpoint_with_other_weights_rejected(self, tmp_path):
+        bb, _, paths = build_bench_env(tmp_path)
+        changed = Backbone(CFG)
+        changed.set_param("layer0.b1", Matrix(changed.params["layer0.b1"].data + 1.0))
+        save_backbone(changed.freeze(), str(tmp_path / "changed.bin"))
+        with pytest.raises(BenchError, match="weights"):
+            run_benchmark(bb, paths, str(tmp_path / "changed.bin"), switches=12, warmup_discard=2)
+
     def test_missing_module_named_in_error(self, tmp_path):
         bb, ckpt, paths = build_bench_env(tmp_path)
         paths["T99"] = str(tmp_path / "nope.mod")
@@ -203,6 +243,18 @@ class TestFullBaseline:
         # the original frozen backbone must be untouched by baseline training
         assert bb.fingerprint() == bb.frozen_fingerprint
 
+    def test_optimizer_gets_no_slot_for_the_unread_mlm_head(self, monkeypatch):
+        from scoremux import workbench
+
+        names = []
+        monkeypatch.setattr(workbench, "fit", lambda slots, *args: names.extend(slot.name for slot in slots))
+        cfg = BackboneConfig(vocab_size=150, d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32, seed=2)
+        bb = Backbone(cfg).freeze()
+        ds = generate_task(TaskSpec("T00", num_classes=2, n_items=60, difficulty="easy", seed=6))
+        train_full_baseline(bb, ds, TrainConfig(batch_size=16, max_epochs=1, patience=1, seed=3))
+        assert "mlm_head" not in names
+        assert set(names) == (set(bb.params) - {"mlm_head"}) | {"head.weight", "head.bias"}
+
     def test_accuracy_gap_comparison_pairs_qwk_vectors(self, tmp_path):
         from scoremux.workbench import accuracy_gap_comparison
 
@@ -232,7 +284,6 @@ class TestFullBaseline:
         assert "p" in gap and 0.0 <= gap["p"] <= 1.0
 
     def test_accuracy_gap_refuses_modules_for_another_backbone(self, tmp_path):
-        from scoremux.errors import BackboneMismatchError
         from scoremux.workbench import accuracy_gap_comparison
 
         cfg = BackboneConfig(vocab_size=150, d_model=16, n_layers=1, n_heads=2, d_ff=32, max_seq_len=32, seed=1)
