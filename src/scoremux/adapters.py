@@ -9,6 +9,12 @@ the frozen backbone is never touched. Training records it on the tape each
 step; `orchestrator.Registry`, the one place a task module meets a backbone
 for scoring, derives it once with no tape when it admits the module. The
 scale is s = alpha / r, and the adapter file stores (r, alpha).
+
+The adapter body (task id, rank, alpha, patches) is written by one function,
+`adapter_to_writer`, and read by one, `adapter_from_reader`. A standalone
+adapter file (`MTLA`) frames it with its own magic, version and CRC; a task
+module (`orchestrator.MODULE_MAGIC`) carries the same body as the first
+section of its own single frame.
 """
 
 from __future__ import annotations
@@ -167,8 +173,8 @@ def merge(backbone: Backbone, adapter: LoraAdapter) -> Backbone:
 # -- adapter file I/O ----------------------------------------------------------
 
 
-def adapter_to_bytes(adapter: LoraAdapter) -> bytes:
-    w = Writer(ADAPTER_MAGIC, ADAPTER_VERSION)
+def adapter_to_writer(w: Writer, adapter: LoraAdapter) -> None:
+    """The adapter body: task id, rank, alpha, then each patch. Adapter files and task modules both carry it."""
     w.str16(adapter.task_id)
     w.u16(adapter.rank)
     w.f64(adapter.alpha)
@@ -180,10 +186,16 @@ def adapter_to_bytes(adapter: LoraAdapter) -> bytes:
         w.u32(p.k)
         w.array(p.a.data, "<f4")
         w.array(p.b.data, "<f4")
+
+
+def adapter_to_bytes(adapter: LoraAdapter) -> bytes:
+    w = Writer(ADAPTER_MAGIC, ADAPTER_VERSION)
+    adapter_to_writer(w, adapter)
     return w.finish()
 
 
 def adapter_from_reader(r: Reader, precision: Precision = P32) -> LoraAdapter:
+    """Parse the adapter body at the reader's position; the frame around it is already checked."""
     task_id = r.str16()
     rank = r.u16()
     alpha = r.f64()
@@ -202,14 +214,6 @@ def adapter_from_reader(r: Reader, precision: Precision = P32) -> LoraAdapter:
     return LoraAdapter(task_id=task_id, rank=rank, alpha=alpha, targets=patches)
 
 
-def adapter_from_bytes(data: bytes, precision: Precision = P32) -> LoraAdapter:
-    """Parse a whole adapter file image: header, body and checksum trailer."""
-    r = Reader(data, ADAPTER_MAGIC, ADAPTER_VERSION)
-    adapter = adapter_from_reader(r, precision)
-    r.finish()
-    return adapter
-
-
 def save_adapter(adapter: LoraAdapter, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(adapter_to_bytes(adapter))
@@ -217,4 +221,7 @@ def save_adapter(adapter: LoraAdapter, path: str) -> None:
 
 def load_adapter(path: str, precision: Precision = P32) -> LoraAdapter:
     with open(path, "rb") as fh:
-        return adapter_from_bytes(fh.read(), precision)
+        r = Reader(fh.read(), ADAPTER_MAGIC, ADAPTER_VERSION)
+    adapter = adapter_from_reader(r, precision)
+    r.finish()
+    return adapter

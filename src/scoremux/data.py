@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ContractError
+from .heads import MAX_CLASSES
 from .numerics import Rng
 
 MIN_SPLIT_ITEMS = 10
@@ -82,7 +83,10 @@ def save_jsonl(dataset: TaskDataset, path: str) -> None:
 
 
 def load_jsonl(path: str) -> TaskDataset:
-    """One task's responses (string text, JSON-integer score, one string task); num_classes max(score) + 1, >= 2."""
+    """One task's responses (string text, JSON-integer score in [0, MAX_CLASSES), one string task).
+
+    num_classes is max(score) + 1, at least 2.
+    """
     items = []
     task_id = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -95,6 +99,8 @@ def load_jsonl(path: str) -> TaskDataset:
                 text, score, task = rec["text"], rec["score"], rec["task"]
                 if not isinstance(text, str) or type(score) is not int or not isinstance(task, str):
                     raise TypeError("text and task must be strings and score an integer")
+                if not 0 <= score < MAX_CLASSES:
+                    raise ValueError(f"score {score} outside [0, {MAX_CLASSES})")
                 if task_id is not None and task != task_id:
                     raise ValueError(f"task {task!r} is not the file's task {task_id!r}")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -22,8 +22,6 @@ INIT_STD = 0.02
 
 @dataclass
 class ClassificationHead:
-    task_id: str
-    num_classes: int
     weight: Matrix  # num_classes x d_model
     bias: Matrix    # 1 x num_classes
 
@@ -32,10 +30,12 @@ class ClassificationHead:
             raise ContractError(
                 f"num_classes must be in [{MIN_CLASSES}, {MAX_CLASSES}], got {self.num_classes}"
             )
-        if self.weight.rows != self.num_classes or self.bias.shape != (1, self.num_classes):
-            raise ShapeError(
-                f"head shapes {self.weight.shape}/{self.bias.shape} disagree with C={self.num_classes}"
-            )
+        if self.bias.shape != (1, self.num_classes):
+            raise ShapeError(f"head bias {self.bias.shape} disagrees with C={self.num_classes}")
+
+    @property
+    def num_classes(self) -> int:
+        return self.weight.rows
 
     @property
     def d_model(self) -> int:
@@ -57,11 +57,9 @@ def new_head(
     rng: Rng | None = None,
     precision: Precision = P32,
 ) -> ClassificationHead:
-    """Weight ~ N(0, 0.02), bias zero."""
+    """Weight ~ N(0, 0.02), bias zero; `task_id` labels the RNG stream the weight is drawn from."""
     stream = (rng if rng is not None else Rng(0)).split(f"head/{task_id}")
     return ClassificationHead(
-        task_id=task_id,
-        num_classes=num_classes,
         weight=stream.normal_matrix(num_classes, d_model, std=INIT_STD, precision=precision),
         bias=Matrix.zeros(1, num_classes, precision),
     )

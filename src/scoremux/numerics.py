@@ -119,10 +119,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int, precision: Precision = P32) -> "Matrix":
         return cls(np.zeros((rows, cols), dtype=precision.dtype))
 
-    @classmethod
-    def identity(cls, n: int, precision: Precision = P32) -> "Matrix":
-        return cls(np.eye(n, dtype=precision.dtype))
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() requires a 1x1 matrix, got {self.shape}")

@@ -1,9 +1,15 @@
 """Dynamic inference orchestration: task-module files, LRU registry, serving.
 
 A TaskModule is the deployable unit for one task: adapter + head in a single
-file, loaded on demand. The Registry keeps at most `capacity` modules
-resident, evicting least-recently-used; modules being scored are pinned and
-cannot be evicted until their in-flight requests finish. It is the one place
+file, loaded on demand. The file is one flat frame (`MTTM`, version 2): the
+adapter body as `adapters.adapter_to_writer` writes it (task id first), the
+head, the fingerprint of the backbone the module was trained against, and one
+CRC32 that `serialize.Reader` checks before any field is parsed. Each fact is
+stored once: the task id is the adapter's, the class count is the head's.
+
+The Registry keeps at most `capacity` modules resident, evicting
+least-recently-used; modules being scored are pinned and cannot be evicted
+until their in-flight requests finish. It is the one place
 a module meets a backbone: it reads the module at the backbone's precision,
 refuses one trained against another backbone before it takes a slot, and
 keeps the effective weights it derives once (`adapters.effective_weights`).
@@ -27,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adapters import ADAPTER_MAGIC, ADAPTER_VERSION, LoraAdapter, adapter_from_bytes, adapter_to_bytes, effective_weights
+from .adapters import LoraAdapter, adapter_from_reader, adapter_to_writer, effective_weights
 from .backbone import Backbone, TokenSeq, tokenize
 from .errors import (
     BackboneMismatchError,
@@ -43,32 +49,23 @@ from .numerics import Matrix, P32, Precision
 from .serialize import Reader, Writer
 
 MODULE_MAGIC = b"MTTM"
-MODULE_VERSION = 1
+MODULE_VERSION = 2
 DEFAULT_CAPACITY = 4
-# module magic and version, adapter length, then the embedded adapter's magic, version and task-id length
-_MODULE_HEADER = struct.Struct("<4sHI4sHH")
-
-
-@dataclass(frozen=True)
-class ModuleMetadata:
-    num_classes: int
-    created_at: int  # unix seconds
-    backbone_fingerprint: str  # fingerprint of the backbone trained against
+# module magic, version and task-id length: the adapter section opens with the task id
+_MODULE_HEADER = struct.Struct("<4sHH")
 
 
 @dataclass
 class TaskModule:
-    task_id: str
+    """One task's adapter and head, and the fingerprint of the backbone they were trained against."""
+
     adapter: LoraAdapter
     head: ClassificationHead
-    metadata: ModuleMetadata
+    backbone_fingerprint: str
 
-    def __post_init__(self):
-        if not (self.adapter.task_id == self.head.task_id == self.task_id):
-            raise ContractError(
-                f"task ids disagree: module={self.task_id!r}, adapter={self.adapter.task_id!r}, "
-                f"head={self.head.task_id!r}"
-            )
+    @property
+    def task_id(self) -> str:
+        return self.adapter.task_id
 
     def param_count(self) -> int:
         return self.adapter.param_count() + self.head.param_count()
@@ -78,16 +75,14 @@ class TaskModule:
 
 
 def module_to_bytes(module: TaskModule) -> bytes:
+    """One frame: the adapter body, the head {C u16, W f32, b f32}, the backbone fingerprint, one CRC."""
     w = Writer(MODULE_MAGIC, MODULE_VERSION)
-    adapter_blob = adapter_to_bytes(module.adapter)
-    w.u32(len(adapter_blob))
-    w.raw(adapter_blob)
+    adapter_to_writer(w, module.adapter)
     head = module.head
     w.u16(head.num_classes)
     w.array(head.weight.data, "<f4")
     w.array(head.bias.data, "<f4")
-    w.u64(module.metadata.created_at)
-    w.str16(module.metadata.backbone_fingerprint)
+    w.str16(module.backbone_fingerprint)
     return w.finish()
 
 
@@ -98,28 +93,16 @@ def save_task_module(module: TaskModule, path: str) -> None:
 
 def load_task_module(path: str, precision: Precision = P32) -> TaskModule:
     with open(path, "rb") as fh:
-        data = fh.read()
-    r = Reader(data, MODULE_MAGIC, MODULE_VERSION)
-    adapter = adapter_from_bytes(r.raw(r.u32()), precision)
+        r = Reader(fh.read(), MODULE_MAGIC, MODULE_VERSION)
+    adapter = adapter_from_reader(r, precision)
     num_classes = r.u16()
     d_model = adapter.targets[0].d if adapter.targets else 0
     weight = r.array(num_classes * d_model, "<f4").reshape(num_classes, d_model)
     bias = r.array(num_classes, "<f4").reshape(1, num_classes)
-    created_at = r.u64()
     fingerprint = r.str16()
     r.finish()
-    head = ClassificationHead(
-        task_id=adapter.task_id,
-        num_classes=num_classes,
-        weight=Matrix(weight.astype(precision.dtype)),
-        bias=Matrix(bias.astype(precision.dtype)),
-    )
-    return TaskModule(
-        task_id=adapter.task_id,
-        adapter=adapter,
-        head=head,
-        metadata=ModuleMetadata(num_classes, created_at, fingerprint),
-    )
+    head = ClassificationHead(Matrix(weight.astype(precision.dtype)), Matrix(bias.astype(precision.dtype)))
+    return TaskModule(adapter, head, fingerprint)
 
 
 def read_module_task_id(path: str) -> str:
@@ -129,14 +112,14 @@ def read_module_task_id(path: str) -> str:
             header = fh.read(_MODULE_HEADER.size)
             if len(header) < _MODULE_HEADER.size:
                 raise RegistrationError(f"{path}: not a task-module file")
-            magic, version, _, adapter_magic, adapter_version, id_len = _MODULE_HEADER.unpack(header)
+            magic, version, id_len = _MODULE_HEADER.unpack(header)
             raw_id = fh.read(id_len)
     except OSError as exc:
         raise RegistrationError(f"cannot read {path}: {exc}") from exc
-    if magic != MODULE_MAGIC or adapter_magic != ADAPTER_MAGIC:
+    if magic != MODULE_MAGIC:
         raise RegistrationError(f"{path}: not a task-module file")
-    if (version, adapter_version) != (MODULE_VERSION, ADAPTER_VERSION):
-        raise RegistrationError(f"{path}: unsupported version {version}.{adapter_version}")
+    if version != MODULE_VERSION:
+        raise RegistrationError(f"{path}: unsupported module version {version} (expected {MODULE_VERSION})")
     if len(raw_id) != id_len:
         raise RegistrationError(f"{path}: truncated task id")
     try:
@@ -231,7 +214,7 @@ class Registry:
             module = entry.module if hit else load_task_module(self.manifest[task_id], backbone.precision)
             if not hit:
                 self.stats.loads += 1
-            if module.metadata.backbone_fingerprint != backbone.frozen_fingerprint:
+            if module.backbone_fingerprint != backbone.frozen_fingerprint:
                 raise BackboneMismatchError(f"module {task_id!r} was trained against another backbone")
             if hit:
                 self._loaded.move_to_end(task_id)

@@ -1,9 +1,14 @@
 """Little-endian binary framing shared by checkpoint, adapter, and module files.
 
 Layout convention: magic bytes, u16 format version, payload, then a CRC32
-trailer computed over every preceding byte (magic included). Readers parse
-with bounds checks against the trailer boundary, then verify the checksum,
-so corruption and truncation surface as distinct errors.
+trailer computed over every preceding byte (magic included). A `Reader` checks
+the whole frame when it is built, before any field is read: the length, the
+magic, the version, then the CRC32 over the whole image. A corrupt or cut-short
+image therefore fails as BadMagicError, VersionMismatchError or ChecksumError
+(a cut-short image's last 4 bytes are not its CRC) and never reaches a field
+parser. TruncatedFileError is left for an image shorter than its magic,
+version and trailer, and for a field that runs past the end of a
+checksum-valid image (a writer bug).
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ class Writer:
         """Raw row-major scalars; dtype is '<f4' or '<f8'."""
         self._buf += np.ascontiguousarray(arr, dtype=dtype).tobytes()
 
-    def raw(self, data: bytes) -> None:
-        self._buf += data
-
     def finish(self) -> bytes:
         crc = zlib.crc32(bytes(self._buf)) & 0xFFFFFFFF
         return bytes(self._buf) + struct.pack("<I", crc)
@@ -63,16 +65,21 @@ class Writer:
 
 class Reader:
     def __init__(self, data: bytes, magic: bytes, version: int):
+        """Check length, magic, version and the CRC32 over the whole image, in that order."""
         if len(data) < len(magic) + 2 + 4:
             raise TruncatedFileError(f"file too short ({len(data)} bytes)")
         if data[: len(magic)] != magic:
             raise BadMagicError(f"expected magic {magic!r}, found {data[:len(magic)]!r}")
-        self._data = data
-        self._end = len(data) - 4  # CRC trailer excluded from payload reads
-        self._pos = len(magic)
-        got = self.u16()
+        got = struct.unpack_from("<H", data, len(magic))[0]
         if got != version:
             raise VersionMismatchError(f"unsupported format version {got} (expected {version})")
+        self._end = len(data) - 4  # CRC trailer excluded from payload reads
+        stored = struct.unpack_from("<I", data, self._end)[0]
+        actual = zlib.crc32(memoryview(data)[: self._end]) & 0xFFFFFFFF
+        if stored != actual:
+            raise ChecksumError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
+        self._data = data
+        self._pos = len(magic) + 2
 
     def _take(self, n: int) -> bytes:
         if self._pos + n > self._end:
@@ -104,24 +111,13 @@ class Reader:
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError:
-            # distinguish corruption (CRC will disagree) from a writer bug
-            self.verify_crc()
             raise FileFormatError("invalid UTF-8 in string field")
-
-    def verify_crc(self) -> None:
-        stored = struct.unpack("<I", self._data[self._end :])[0]
-        actual = zlib.crc32(self._data[: self._end]) & 0xFFFFFFFF
-        if stored != actual:
-            raise ChecksumError(f"CRC mismatch: stored {stored:#010x}, computed {actual:#010x}")
 
     def array(self, count: int, dtype: str) -> np.ndarray:
         itemsize = np.dtype(dtype).itemsize
         return np.frombuffer(self._take(count * itemsize), dtype=dtype).copy()
 
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
-
     def finish(self) -> None:
+        """Refuse payload bytes that no field read."""
         if self._pos != self._end:
             raise FileFormatError(f"{self._end - self._pos} unparsed payload bytes")
-        self.verify_crc()

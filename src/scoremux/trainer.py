@@ -30,7 +30,7 @@ from .errors import ContractError, FrozenViolationError
 from .evalkit import qwk
 from .heads import ClassificationHead, head_forward, new_head
 from .numerics import Matrix, Rng, Tape, add, cross_entropy, frobenius_norm, scale, square
-from .orchestrator import ModuleMetadata, TaskModule, score_tokens
+from .orchestrator import TaskModule, score_tokens
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -341,16 +341,7 @@ def train_task(
         f"layer{p.layer_index}.{p.kind.slot}": float(np.sqrt(np.sum(delta.data.astype(np.float64) ** 2)))
         for p, delta in zip(adapter.targets, effective_weights(backbone, adapter)[1])
     }
-    module = TaskModule(
-        task_id=dataset.task_id,
-        adapter=adapter,
-        head=head,
-        metadata=ModuleMetadata(
-            num_classes=dataset.num_classes,
-            created_at=int(time.time()),
-            backbone_fingerprint=backbone.frozen_fingerprint or "",
-        ),
-    )
+    module = TaskModule(adapter, head, backbone.frozen_fingerprint or "")
     report = TrainReport(
         task_id=dataset.task_id,
         epochs=epoch_stats,

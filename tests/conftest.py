@@ -109,6 +109,27 @@ def straight_line_encode(bb, ids: tuple[int, ...], adapter=None) -> np.ndarray:
     return x[0]
 
 
+def misloaded_bit_flips(raw: bytes, path, load, offsets=None) -> list[tuple[int, int, str]]:
+    """(offset, bit, outcome) for each flip of bit 0x01 or 0x40 of `raw` that `load(path)` does not refuse
+    with a FileFormatError; outcome is the exception's type name, or "loaded". Every byte by default."""
+    from scoremux.errors import FileFormatError
+
+    wrong = []
+    for offset in range(len(raw)) if offsets is None else offsets:
+        for bit in (0x01, 0x40):
+            bad = bytearray(raw)
+            bad[offset] ^= bit
+            path.write_bytes(bytes(bad))
+            try:
+                load(str(path))
+                wrong.append((offset, bit, "loaded"))
+            except FileFormatError:
+                pass
+            except Exception as exc:  # ShapeError, ContractError, RankError, MemoryError, ...
+                wrong.append((offset, bit, type(exc).__name__))
+    return wrong
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

@@ -24,7 +24,6 @@ from scoremux.evalkit import qwk
 from scoremux.heads import head_forward, new_head, predict
 from scoremux.numerics import Matrix, P32, P64, Rng, Tape, concat_rows, cross_entropy
 from scoremux.orchestrator import (
-    ModuleMetadata,
     Registry,
     StdioTransport,
     TaskModule,
@@ -290,10 +289,9 @@ def test_criterion_8_lru_reference_equivalence(tmp_path):
     for i in range(27):
         tid = f"T{i:02d}"
         module = TaskModule(
-            task_id=tid,
             adapter=new_adapter(tid, cfg, r=2, rng=Rng(i)),
             head=new_head(tid, 2, cfg.d_model, Rng(i)),
-            metadata=ModuleMetadata(2, 0, backbone.frozen_fingerprint),
+            backbone_fingerprint=backbone.frozen_fingerprint,
         )
         path = tmp_path / f"{tid}.mod"
         save_task_module(module, str(path))
@@ -329,7 +327,7 @@ def test_criterion_9_serialization_round_trips(tmp_path):
     backbone = Backbone(cfg).freeze()
     adapter = randomize_b(new_adapter("T00", cfg, rng=Rng(2)), 3)
     head = new_head("T00", 4, cfg.d_model, Rng(2))
-    module = TaskModule("T00", adapter, head, ModuleMetadata(4, 123456, backbone.frozen_fingerprint))
+    module = TaskModule(adapter, head, backbone.frozen_fingerprint)
 
     checks = []
     # adapter file

@@ -21,7 +21,7 @@ from scoremux.errors import ChecksumError, RankError, ShapeError
 from scoremux.heads import head_forward, new_head
 from scoremux.numerics import Matrix, P64, Rng, matrix
 
-from conftest import straight_line_encode
+from conftest import misloaded_bit_flips, straight_line_encode
 
 CFG = BackboneConfig()
 TINY = BackboneConfig(vocab_size=8, d_model=2, n_layers=1, n_heads=1, d_ff=2, max_seq_len=4)
@@ -89,7 +89,7 @@ class TestDelta:
         assert scaled_delta(p, 1, 1).tolist() == [[0.0, 2.0], [0.0, 0.0]]
 
     def test_identity_product_scaled_by_alpha_over_r(self):
-        p = TargetPatch(0, TargetKind.VALUE_PROJ, Matrix.identity(2), Matrix.identity(2))
+        p = TargetPatch(0, TargetKind.VALUE_PROJ, Matrix(np.eye(2, dtype=np.float32)), Matrix(np.eye(2, dtype=np.float32)))
         np.testing.assert_array_equal(scaled_delta(p, 16, 2), 8.0 * np.eye(2, dtype=np.float32))
 
     def test_delta_rank_bounded_by_r(self):
@@ -198,6 +198,12 @@ class TestAdapterFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             load_adapter(str(path))
+
+    def test_every_single_bit_flip_is_a_file_error(self, tmp_path):
+        # d = 64 = 0x40, so one flip turns a patch's d or k field to 0
+        small = BackboneConfig(vocab_size=50, d_model=64, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        raw = adapter_to_bytes(randomize_b(new_adapter("T01", small, r=1, rng=Rng(8)), 9))
+        assert misloaded_bit_flips(raw, tmp_path / "a.bin", load_adapter) == []
 
     def test_file_size_formula(self):
         ad = new_adapter("T01", CFG, rng=Rng(8))

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scoremux
 from scoremux.backbone import (
     Backbone,
     BackboneConfig,
@@ -36,6 +41,22 @@ from scoremux.numerics import P64, Rng, Tape
 from conftest import straight_line_encode
 
 CFG = BackboneConfig()
+
+# Sweeps a checkpoint's header under a 2 GB address-space limit, so a header
+# flip that made the loader size a huge allocation raises MemoryError here
+# instead of exhausting the host.
+_HEADER_FLIP_RUN = """
+import json, pathlib, resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 2 << 30
+if soft != resource.RLIM_INFINITY:
+    limit = min(limit, soft)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from conftest import misloaded_bit_flips
+from scoremux.backbone import load_backbone
+raw = pathlib.Path(sys.argv[1]).read_bytes()
+print(json.dumps(misloaded_bit_flips(raw, pathlib.Path(sys.argv[2]), load_backbone, range(41))))
+"""
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -334,9 +355,28 @@ class TestCheckpoint:
         bb = Backbone(CFG)
         path = tmp_path / "bb.bin"
         save_backbone(bb, str(path))
-        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(ChecksumError):  # the frame is checked first: the last 4 bytes are not the CRC
+            load_backbone(str(path))
+        path.write_bytes(raw[:9])  # shorter than magic, version and trailer
         with pytest.raises(TruncatedFileError):
             load_backbone(str(path))
+
+    def test_every_header_bit_flip_is_a_file_error(self, tmp_path):
+        # offsets 0-40: magic, version, the six u32 config fields, seed, frozen and precision bytes
+        small = BackboneConfig(vocab_size=50, d_model=8, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        path = tmp_path / "bb.bin"
+        save_backbone(Backbone(small).freeze(), str(path))
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(scoremux.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _HEADER_FLIP_RUN, str(path), str(tmp_path / "bad.bin")],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert json.loads(proc.stdout.decode().splitlines()[-1]) == []
 
     def test_bad_magic_detected(self, tmp_path):
         path = tmp_path / "bb.bin"

@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -118,10 +119,22 @@ class TestFinetune:
         report = (workdir / "T00.report.txt").read_text()
         assert "stopped_epoch:" in report and "epoch 1:" in report
 
+    def test_same_seed_runs_write_identical_modules(self, workdir, tmp_path, monkeypatch):
+        outs = []
+        for clock in (1_000_000_000.0, 2_000_000_000.0):  # the wall clock must not reach the file
+            monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+            out = tmp_path / f"{int(clock)}.mod"
+            assert main([
+                "finetune", "--backbone", str(workdir / "backbone.bin"), "--data", str(workdir / "data" / "T00.jsonl"),
+                "--out", str(out), "--lr", "1e-2", "--batch-size", "8", "--epochs", "2", "--seed", "4",
+            ]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_module_ties_to_backbone_fingerprint(self, workdir):
         bb = load_backbone(str(workdir / "backbone.bin"))
         module = load_task_module(str(workdir / "modules" / "T01.mod"))
-        assert module.metadata.backbone_fingerprint == bb.frozen_fingerprint
+        assert module.backbone_fingerprint == bb.frozen_fingerprint
 
 
 class TestEval:
@@ -324,6 +337,21 @@ class TestErrors:
         assert err.startswith("scoremux finetune:") and "T.jsonl:1:" in err and err.count("\n") == 1
 
 
+    def test_out_of_range_score_names_file_and_line(self, workdir, tmp_path, capsys):
+        data = tmp_path / "T.jsonl"
+        records = [{"task": "T", "text": f"antwort {i}", "score": i % 2} for i in range(20)]
+        records[7]["score"] = 100000
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        code = main([
+            "finetune", "--backbone", str(workdir / "backbone.bin"),
+            "--data", str(data), "--out", str(tmp_path / "x.mod"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scoremux finetune:") and "T.jsonl:8:" in err and err.count("\n") == 1
+        assert not (tmp_path / "x.mod").exists()
+
+
 class TestOptions:
     @pytest.mark.parametrize("argv", [
         ["serve", "--backbone", "b.bin", "--manifest", "m.json", "--precision", "64"],
@@ -480,6 +508,8 @@ def test_benchmark_tracer_installs(tmp_path):
     children = json.loads(proc.stdout.decode().splitlines()[-1])
     assert {"backbone.tokenize", "backbone.encode", "heads.predict"} <= set(children["orchestrator.score"])
     assert {"trainer.step", "backbone.encode"} <= set(children["trainer.train_task"])
+    # a module load nests its adapter parse, or the benchmark's adapters.parse_us_p50 reads NaN
+    assert "adapters.parse" in children["orchestrator.load"]
 
 
 def without_latency(doc: dict) -> dict:

@@ -244,7 +244,7 @@ class TestEvaluate:
         from scoremux.evalkit import evaluate
         from scoremux.heads import new_head
         from scoremux.numerics import Rng
-        from scoremux.orchestrator import ModuleMetadata, Registry, TaskModule, save_task_module
+        from scoremux.orchestrator import Registry, TaskModule, save_task_module
 
         backbone, _, dataset, _ = env
         balanced = list(dataset.items)  # exactly 15 per class, no label noise
@@ -254,10 +254,9 @@ class TestEvaluate:
         for seed in range(20):
             tid = f"TChance{seed}"
             module = TaskModule(
-                task_id=tid,
                 adapter=new_adapter(tid, backbone.config, rng=Rng(seed)),
                 head=new_head(tid, 2, backbone.config.d_model, Rng(100 + seed)),
-                metadata=ModuleMetadata(2, 0, backbone.frozen_fingerprint),
+                backbone_fingerprint=backbone.frozen_fingerprint,
             )
             path = tmp_path / f"{tid}.mod"
             save_task_module(module, str(path))

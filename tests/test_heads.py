@@ -17,12 +17,12 @@ from scoremux.numerics import Matrix, P64, Rng, Tape, matrix, sum_all
 def head_with_logits(z: list[float]) -> ClassificationHead:
     """Zero weight + bias=z makes head_forward return z for any hidden."""
     c = len(z)
-    return ClassificationHead("t", c, Matrix.zeros(c, 4), matrix([z]))
+    return ClassificationHead(Matrix.zeros(c, 4), matrix([z]))
 
 
 class TestHeadForward:
     def test_zero_head_gives_zero_logits(self):
-        head = ClassificationHead("t", 2, Matrix.zeros(2, 4), Matrix.zeros(1, 2))
+        head = ClassificationHead(Matrix.zeros(2, 4), Matrix.zeros(1, 2))
         assert head_forward(head, matrix([[1.0, -2.0, 3.0, 0.5]])).tolist() == [[0.0, 0.0]]
 
     def test_bias_passthrough(self):
@@ -36,7 +36,7 @@ class TestHeadForward:
         b = gen.standard_normal(3)
         h = gen.standard_normal(4)
         expected = [float(np.dot(w[i], h) + b[i]) for i in range(3)]
-        head = ClassificationHead("t", 3, Matrix(w.copy()), Matrix(b.reshape(1, 3).copy()))
+        head = ClassificationHead(Matrix(w.copy()), Matrix(b.reshape(1, 3).copy()))
         out = head_forward(head, Matrix(h.reshape(1, 4).copy()))
         np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
@@ -96,7 +96,6 @@ class TestClassProbs:
         # any summation order, so a batch and its single rows share the logits
         gen = np.random.default_rng(23)
         head = ClassificationHead(
-            "t", 5,
             Matrix(gen.integers(-3, 4, (5, 64)).astype(np.float32)),
             Matrix(gen.standard_normal((1, 5)).astype(np.float32)),
         )
@@ -143,9 +142,9 @@ class TestClassProbs:
 class TestValidation:
     def test_class_count_range(self):
         with pytest.raises(ContractError):
-            ClassificationHead("t", 1, Matrix.zeros(1, 4), Matrix.zeros(1, 1))
+            ClassificationHead(Matrix.zeros(1, 4), Matrix.zeros(1, 1))
         with pytest.raises(ContractError):
-            ClassificationHead("t", 7, Matrix.zeros(7, 4), Matrix.zeros(1, 7))
+            ClassificationHead(Matrix.zeros(7, 4), Matrix.zeros(1, 7))
 
     def test_new_head_is_seeded(self):
         a = new_head("t", 4, 16, Rng(3))

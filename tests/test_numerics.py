@@ -47,7 +47,7 @@ def rand_matrix(rng, rows, cols, precision=P64, scl=1.0):
 class TestMatmul:
     def test_identity_left(self, rng):
         m = rand_matrix(rng, 2, 2, P32)
-        out = matmul(Matrix.identity(2, P32), m)
+        out = matmul(Matrix(np.eye(2, dtype=np.float32)), m)
         np.testing.assert_array_equal(out.data, m.data)
 
     def test_hand_computed_outer_product(self):
@@ -100,7 +100,7 @@ class TestFrobeniusNorm:
         assert frobenius_norm(Matrix.zeros(3, 3)).item() == 0.0
 
     def test_identity(self):
-        assert frobenius_norm(Matrix.identity(2, P64)).item() == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert frobenius_norm(Matrix(np.eye(2))).item() == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_sum_of_squares_oracle(self):
         vals = [[1.0, 2.0], [3.0, 4.0]]

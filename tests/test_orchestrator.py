@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scoremux.adapters import effective_weights, new_adapter
+from scoremux.adapters import adapter_to_bytes, effective_weights, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, tokenize
 from scoremux.errors import (
     BackboneMismatchError,
@@ -23,11 +24,13 @@ from scoremux.errors import (
     DuplicateTaskError,
     RegistrationError,
     UnknownTaskError,
+    VersionMismatchError,
 )
 from scoremux.heads import new_head, predict
 from scoremux.numerics import P64, Matrix, Rng
 from scoremux.orchestrator import (
-    ModuleMetadata,
+    MODULE_MAGIC,
+    MODULE_VERSION,
     Registry,
     RegistryStats,
     StdioTransport,
@@ -36,11 +39,14 @@ from scoremux.orchestrator import (
     handle_request_line,
     load_registry_manifest,
     load_task_module,
+    module_to_bytes,
     save_registry_manifest,
     save_task_module,
     score,
     serve,
 )
+
+from conftest import misloaded_bit_flips
 
 CFG = BackboneConfig(seed=123)
 FINGERPRINT = Backbone(CFG).fingerprint()  # of `frozen_bb`, the backbone these modules are scored with
@@ -53,13 +59,7 @@ def build_module(task_id: str, num_classes: int = 3, seed: int = 0, randomize: b
         rng = Rng(seed + 1000)
         for i, p in enumerate(adapter.targets):
             p.b = rng.split(f"b{i}").normal_matrix(p.rank, p.k, std=0.05)
-    head = new_head(task_id, num_classes, CFG.d_model, Rng(seed))
-    return TaskModule(
-        task_id=task_id,
-        adapter=adapter,
-        head=head,
-        metadata=ModuleMetadata(num_classes, int(time.time()), FINGERPRINT),
-    )
+    return TaskModule(adapter, new_head(task_id, num_classes, CFG.d_model, Rng(seed)), FINGERPRINT)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,18 @@ def fresh_registry(module_dir, capacity=4):
     return reg
 
 
+def v1_module_image(module: TaskModule) -> bytes:
+    """A module in the version-1 layout: a complete adapter image nested in the frame, then a created_at stamp."""
+    adapter_blob = adapter_to_bytes(module.adapter)
+    head, fingerprint = module.head, module.backbone_fingerprint.encode()
+    body = b"".join([
+        MODULE_MAGIC, struct.pack("<HI", 1, len(adapter_blob)), adapter_blob,
+        struct.pack("<H", head.num_classes), head.weight.data.astype("<f4").tobytes(),
+        head.bias.data.astype("<f4").tobytes(), struct.pack("<QH", 0, len(fingerprint)), fingerprint,
+    ])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def reference_lru(accesses, capacity):
     """Independent LRU model: list ordered least- to most-recent."""
     cache: list[str] = []
@@ -107,8 +119,37 @@ class TestModuleFile:
         save_task_module(loaded, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.task_id == "T00"
-        assert loaded.metadata == module.metadata
+        assert loaded.backbone_fingerprint == module.backbone_fingerprint
         np.testing.assert_array_equal(loaded.head.weight.data, module.head.weight.data)
+
+    def test_flat_frame_holds_each_fact_once(self):
+        module = build_module("T00", num_classes=4, randomize=True)
+        raw = module_to_bytes(module)
+        adapter_body = adapter_to_bytes(module.adapter)[6:-4]  # the adapter file minus its magic, version and CRC
+        head = module.head
+        assert MODULE_VERSION == 2
+        assert raw[:6] == MODULE_MAGIC + struct.pack("<H", 2)
+        assert raw[6 : 6 + len(adapter_body)] == adapter_body
+        head_bytes = 2 + 4 * (head.num_classes * head.d_model + head.num_classes)
+        assert len(raw) == 6 + len(adapter_body) + head_bytes + 2 + len(FINGERPRINT) + 4
+        assert module.task_id == module.adapter.task_id == "T00"
+
+    def test_every_single_bit_flip_is_a_file_error(self, tmp_path):
+        # d = 64 = 0x40, so one flip turns a patch's d or k field to 0
+        small = BackboneConfig(vocab_size=50, d_model=64, n_layers=1, n_heads=2, d_ff=16, max_seq_len=8)
+        adapter = new_adapter("T00", small, r=1, rng=Rng(1))
+        for i, p in enumerate(adapter.targets):
+            p.b = Rng(2).split(f"b{i}").normal_matrix(p.rank, p.k, std=0.05)
+        raw = module_to_bytes(TaskModule(adapter, new_head("T00", 3, small.d_model, Rng(1)), FINGERPRINT))
+        assert misloaded_bit_flips(raw, tmp_path / "m.mod", load_task_module) == []
+
+    def test_version_1_module_refused(self, tmp_path):
+        path = tmp_path / "v1.mod"
+        path.write_bytes(v1_module_image(build_module("T00")))
+        with pytest.raises(RegistrationError, match="unsupported module version 1"):
+            Registry().register("T00", str(path))
+        with pytest.raises(VersionMismatchError):
+            load_task_module(str(path))
 
     def test_corrupt_byte_detected(self, tmp_path):
         path = tmp_path / "m.bin"
@@ -118,12 +159,6 @@ class TestModuleFile:
         path.write_bytes(bytes(raw))
         with pytest.raises(ChecksumError):
             load_task_module(str(path))
-
-    def test_task_id_consistency_enforced(self):
-        adapter = new_adapter("A", CFG, rng=Rng(0))
-        head = new_head("B", 3, CFG.d_model, Rng(0))
-        with pytest.raises(ContractError, match="task ids disagree"):
-            TaskModule("A", adapter, head, ModuleMetadata(3, 0, ""))
 
 
 class TestRegister:
@@ -409,6 +444,21 @@ class TestServe:
         assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
         assert reg.loaded_ids() == ["T01"]
 
+    def test_corrupt_patch_dimension_is_load_error(self, module_dir, frozen_bb, tmp_path):
+        raw = bytearray(open(module_dir["T03"], "rb").read())
+        offset = 4 + 2 + (2 + 3) + 2 + 8 + 2 + 2 + 1  # magic, version, task id, rank, alpha, count, layer, kind
+        assert struct.unpack_from("<I", raw, offset)[0] == CFG.d_model
+        raw[offset] ^= 0x01
+        path = tmp_path / "T03.mod"
+        path.write_bytes(bytes(raw))
+        reg = fresh_registry({"T03": str(path), "T01": module_dir["T01"]})
+        lines = [self.make_request(1, "T03"), self.make_request(2, "T01")]
+        stdout = io.StringIO()
+        assert serve(reg, frozen_bb, StdioTransport(io.StringIO("\n".join(lines) + "\n"), stdout)) == 2
+        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert responses[0] == {"id": 1, "error": "load_error"}
+        assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+
     def test_deeply_nested_json_is_malformed(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir)
         lines = ["[" * 100_000, self.make_request(2, "T01")]
@@ -445,7 +495,7 @@ class TestServe:
     def test_module_for_another_backbone_is_mismatch(self, module_dir, frozen_bb, tmp_path):
         module = build_module("TOther", seed=3)
         other = Backbone(BackboneConfig(seed=CFG.seed + 1)).fingerprint()
-        module.metadata = dataclasses.replace(module.metadata, backbone_fingerprint=other)
+        module.backbone_fingerprint = other
         save_task_module(module, str(tmp_path / "TOther.mod"))
         reg = fresh_registry({"TOther": str(tmp_path / "TOther.mod"), "T01": module_dir["T01"]})
         lines = [self.make_request(1, "TOther"), self.make_request(2, "T01")]
@@ -462,7 +512,7 @@ class TestServe:
     def test_mismatched_module_takes_no_resident_slot(self, frozen_bb, tmp_path):
         bad = build_module("BAD", seed=3)
         other = Backbone(BackboneConfig(seed=CFG.seed + 1)).fingerprint()
-        bad.metadata = dataclasses.replace(bad.metadata, backbone_fingerprint=other)
+        bad.backbone_fingerprint = other
         paths = {"OK": str(tmp_path / "OK.mod"), "BAD": str(tmp_path / "BAD.mod")}
         save_task_module(build_module("OK", seed=1, randomize=True), paths["OK"])
         save_task_module(bad, paths["BAD"])
@@ -482,7 +532,7 @@ class TestServe:
     def test_float64_backbone_scores_through_default_registry(self, tmp_path):
         bb64 = Backbone(CFG, P64).freeze()
         module = build_module("T64", seed=4, randomize=True)
-        module.metadata = dataclasses.replace(module.metadata, backbone_fingerprint=bb64.frozen_fingerprint)
+        module.backbone_fingerprint = bb64.frozen_fingerprint
         paths = {"T64": str(tmp_path / "T64.mod")}
         save_task_module(module, paths["T64"])
         stdout = io.StringIO()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -269,7 +270,7 @@ class TestTrainTask:
         assert before.read_bytes() == after.read_bytes()
         assert frozen.fingerprint() == frozen.frozen_fingerprint
         assert report.epochs[-1].val_qwk >= 0.8
-        assert module.metadata.backbone_fingerprint == frozen.frozen_fingerprint
+        assert module.backbone_fingerprint == frozen.frozen_fingerprint
 
     def test_warmup_schedule_recorded(self, frozen):
         cfg = TrainConfig(learning_rate=2e-3, max_epochs=2, batch_size=16, seed=4)
@@ -294,19 +295,15 @@ class TestTrainTask:
         m1 = sum(v**2 for v in r1.final_delta_norms.values())
         assert m1 <= m0
 
-    def test_deterministic_given_seed(self, frozen):
-        from dataclasses import replace
-
-        from scoremux.orchestrator import TaskModule, module_to_bytes
+    def test_deterministic_given_seed(self, frozen, monkeypatch):
+        from scoremux.orchestrator import module_to_bytes
 
         cfg = TrainConfig(learning_rate=5e-3, max_epochs=2, seed=12)
-        m1, _ = train_task(frozen, make_dataset(n=80), cfg)
-        m2, _ = train_task(frozen, make_dataset(n=80), cfg)
-        # normalize the wall-clock timestamp; everything else must be identical
-        m2 = TaskModule(
-            m2.task_id, m2.adapter, m2.head, replace(m2.metadata, created_at=m1.metadata.created_at)
-        )
-        assert module_to_bytes(m1) == module_to_bytes(m2)
+        blobs = []
+        for clock in (1_000_000_000.0, 2_000_000_000.0):  # the wall clock must not reach the file
+            monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+            blobs.append(module_to_bytes(train_task(frozen, make_dataset(n=80), cfg)[0]))
+        assert blobs[0] == blobs[1]
 
     def test_early_stop_restores_best_epoch(self, frozen):
         ds = generate_task(TaskSpec("T00", 3, 200, seed=3))

@@ -11,9 +11,9 @@ import pytest
 from scoremux.backbone import Backbone, BackboneConfig, save_backbone
 from scoremux.data import load_jsonl
 from scoremux.errors import BackboneMismatchError, BenchError, ContractError
-from scoremux.heads import new_head
+from scoremux.heads import MAX_CLASSES, MIN_CLASSES, new_head
 from scoremux.numerics import Matrix, Rng
-from scoremux.orchestrator import ModuleMetadata, TaskModule, save_task_module
+from scoremux.orchestrator import TaskModule, save_task_module
 from scoremux.adapters import new_adapter
 from scoremux.trainer import TrainConfig
 from scoremux.workbench import (
@@ -40,6 +40,12 @@ class TestTaskSpec:
             TaskSpec("T", num_classes=4, n_items=39)
         with pytest.raises(ContractError):
             TaskSpec("T", difficulty="extreme")
+
+    def test_class_bounds_are_the_heads(self):
+        assert TaskSpec("T", num_classes=MIN_CLASSES, n_items=60).num_classes == MIN_CLASSES
+        assert TaskSpec("T", num_classes=MAX_CLASSES, n_items=60).num_classes == MAX_CLASSES
+        with pytest.raises(ContractError, match=rf"\[{MIN_CLASSES}, {MAX_CLASSES}\]"):
+            TaskSpec("T", num_classes=MAX_CLASSES + 1)
 
     def test_default_specs_shape(self):
         specs = default_specs()
@@ -115,6 +121,9 @@ class TestGenerator:
             pytest.param({"task": "A", "text": "y", "score": 0.9}, id="float-score"),
             pytest.param({"task": "A", "text": "y", "score": True}, id="bool-score"),
             pytest.param({"task": "B", "text": "y", "score": 1}, id="other-task"),
+            pytest.param({"task": "A", "text": "y", "score": -1}, id="negative-score"),
+            pytest.param({"task": "A", "text": "y", "score": MAX_CLASSES}, id="score-at-max-classes"),
+            pytest.param({"task": "A", "text": "y", "score": 100000}, id="outlier-score"),
         ],
     )
     def test_load_jsonl_bad_record_named_by_line(self, tmp_path, bad):
@@ -136,10 +145,9 @@ def build_bench_env(tmp_path, n_tasks=5):
     for i in range(n_tasks):
         tid = f"T{i:02d}"
         module = TaskModule(
-            task_id=tid,
             adapter=new_adapter(tid, CFG, rng=Rng(i)),
             head=new_head(tid, 2 + i % 5, CFG.d_model, Rng(i)),
-            metadata=ModuleMetadata(2 + i % 5, 0, bb.frozen_fingerprint),
+            backbone_fingerprint=bb.frozen_fingerprint,
         )
         path = tmp_path / f"{tid}.mod"
         save_task_module(module, str(path))
@@ -267,10 +275,9 @@ class TestFullBaseline:
             ds = generate_task(TaskSpec(tid, num_classes=2, n_items=60, difficulty="easy", seed=6 + i))
             datasets[tid] = ds
             module = TaskModule(
-                task_id=tid,
                 adapter=new_adapter(tid, cfg, rng=Rng(i)),
                 head=new_head(tid, 2, cfg.d_model, Rng(i)),
-                metadata=ModuleMetadata(2, 0, bb.frozen_fingerprint),
+                backbone_fingerprint=bb.frozen_fingerprint,
             )
             path = tmp_path / f"{tid}.mod"
             save_task_module(module, str(path))
@@ -294,8 +301,7 @@ class TestFullBaseline:
             tid = f"T{i:02d}"
             datasets[tid] = generate_task(TaskSpec(tid, num_classes=2, n_items=60, difficulty="easy", seed=6 + i))
             module = TaskModule(
-                tid, new_adapter(tid, cfg, rng=Rng(i)), new_head(tid, 2, cfg.d_model, Rng(i)),
-                ModuleMetadata(2, 0, trained_on.frozen_fingerprint),
+                new_adapter(tid, cfg, rng=Rng(i)), new_head(tid, 2, cfg.d_model, Rng(i)), trained_on.frozen_fingerprint
             )
             paths[tid] = str(tmp_path / f"{tid}.mod")
             save_task_module(module, paths[tid])
