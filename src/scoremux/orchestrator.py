@@ -8,15 +8,17 @@ CRC32 that `serialize.Reader` checks before any field is parsed. Each fact is
 stored once: the task id is the adapter's, the class count is the head's.
 
 The Registry keeps at most `capacity` modules resident, evicting
-least-recently-used; modules being scored are pinned and cannot be evicted
-until their in-flight requests finish. It is the one place
-a module meets a backbone: it reads the module at the backbone's precision,
-refuses one trained against another backbone before it takes a slot, and
-keeps the effective weights it derives once (`adapters.effective_weights`).
-`score` answers one request; `score_tokens` scores a whole tokenized split in
-packed batches for validation and evaluation. Both end in
-`heads.class_probs`. The wire protocol is newline-delimited UTF-8 JSON over
-stdio or TCP.
+least-recently-used. One lock serialises its callers: `Registry.acquire`
+holds it from admission through the caller's head, so one request scores at a
+time and the entry it scores with cannot be evicted under it. It is the one
+place a module meets a backbone: it reads the module at the backbone's
+precision, refuses one trained against another backbone before it takes a
+slot, and keeps the effective weights it derives once
+(`adapters.effective_weights`). `score` answers one request; `score_tokens`
+scores a whole tokenized split in packed batches for validation and
+evaluation. Both end in `heads.class_probs`. The wire protocol is
+newline-delimited UTF-8 JSON over stdio or TCP, at most `MAX_REQUEST_CHARS`
+characters a line.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import struct
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,6 +54,9 @@ from .serialize import Reader, Writer
 MODULE_MAGIC = b"MTTM"
 MODULE_VERSION = 2
 DEFAULT_CAPACITY = 4
+# characters of one request line before its newline: far above a real answer
+# (tokenize keeps max_seq_len tokens), far below what one line would need to exhaust memory
+MAX_REQUEST_CHARS = 1 << 20
 # module magic, version and task-id length: the adapter section opens with the task id
 _MODULE_HEADER = struct.Struct("<4sHH")
 
@@ -162,7 +168,13 @@ class ScoreResult:
 
 
 class Registry:
-    """Manifest of task-module files with an LRU-bounded resident set."""
+    """Manifest of task-module files with an LRU-bounded resident set behind one lock.
+
+    The lock is a re-entrant `threading.RLock`: a caller holds it from
+    admission through its head (`acquire`), so the thread inside a block may
+    read `loaded_ids()` without deadlock, and a reader on another thread waits
+    for the request in flight to leave its block.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -171,8 +183,7 @@ class Registry:
         self.manifest: dict[str, str] = {}
         self.stats = RegistryStats()
         self._loaded: OrderedDict[str, Resident] = OrderedDict()
-        self._pins: dict[str, int] = {}
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
 
     def register(self, task_id: str, module_path: str) -> None:
         """Add a module file to the manifest if its header names `task_id`; nothing is loaded yet."""
@@ -184,28 +195,30 @@ class Registry:
         self.manifest[task_id] = module_path
 
     def loaded_ids(self) -> list[str]:
-        with self._cond:
+        with self._lock:
             return list(self._loaded)
 
     def resident_module_bytes(self) -> int:
         """Parameter bytes of the resident modules plus their derived effective weights."""
-        with self._cond:
+        with self._lock:
             return sum(entry.nbytes() for entry in self._loaded.values())
 
-    def _acquire(self, task_id: str, backbone: Backbone, pin: bool = False) -> tuple[Resident, bool]:
-        """Return (resident entry, cache_hit) for scoring with the frozen `backbone`; the one admission point.
+    @contextmanager
+    def acquire(self, task_id: str, backbone: Backbone) -> Iterator[tuple[Resident, bool]]:
+        """Yield (resident entry, cache_hit) for the frozen `backbone` under the lock; the one admission point.
 
         A miss reads the file at `backbone.precision`. A module trained against
-        another backbone raises BackboneMismatchError before anything is pinned,
+        another backbone raises BackboneMismatchError before anything is
         inserted or evicted; a refused read counts only in `loads`. An admitted
         module's effective weights are derived once, here, and charged with the
         read to `load_time_us`; a hit builds nothing. A fingerprint matches a
         backbone of one precision only, so a resident entry is always at the
-        width of the backbone that hits it.
+        width of the backbone that hits it. The time spent in the caller's
+        block is charged to `compute_time_us` when it exits.
         """
         if not backbone.frozen:
             raise ContractError("scoring requires a frozen backbone")
-        with self._cond:
+        with self._lock:
             if task_id not in self.manifest:
                 raise UnknownTaskError(f"unknown task {task_id!r}")
             entry = self._loaded.get(task_id)
@@ -222,56 +235,29 @@ class Registry:
             else:
                 entry = Resident(module, effective_weights(backbone, module.adapter)[0])
                 self.stats.load_time_us += (time.perf_counter_ns() - t0) // 1000
-                while len(self._loaded) >= self.capacity and not self._evictable():
-                    self._cond.wait()
-                while len(self._loaded) >= self.capacity:
-                    self._evict_one()
+                if len(self._loaded) >= self.capacity:
+                    self._loaded.popitem(last=False)  # least recent first
+                    self.stats.evictions += 1
                 self._loaded[task_id] = entry
                 self.stats.misses += 1
-            if pin:
-                self._pins[task_id] = self._pins.get(task_id, 0) + 1
-            return entry, hit
-
-    def _evictable(self) -> bool:
-        return any(self._pins.get(tid, 0) == 0 for tid in self._loaded)
-
-    def _evict_one(self) -> None:
-        for tid in self._loaded:  # OrderedDict iterates least-recent first
-            if self._pins.get(tid, 0) == 0:
-                del self._loaded[tid]
-                self.stats.evictions += 1
-                return
-        raise ContractError("no evictable module (all pinned)")
-
-    def _unpin(self, task_id: str, compute_us: int) -> None:
-        """Release one pin taken by `_acquire`, charging the compute time spent under it."""
-        with self._cond:
-            self.stats.compute_time_us += compute_us
-            count = self._pins.get(task_id, 0) - 1
-            if count <= 0:
-                self._pins.pop(task_id, None)
-            else:
-                self._pins[task_id] = count
-            self._cond.notify_all()
+            t_compute = time.perf_counter_ns()
+            try:
+                yield entry, hit
+            finally:
+                self.stats.compute_time_us += (time.perf_counter_ns() - t_compute) // 1000
 
     def ensure_loaded(self, task_id: str, backbone: Backbone) -> Resident:
-        entry, _ = self._acquire(task_id, backbone)
-        return entry
+        with self.acquire(task_id, backbone) as (entry, _):
+            return entry
 
 
 def score(registry: Registry, backbone: Backbone, task_id: str, text: str) -> ScoreResult:
-    """Three-step scoring: tokenize, encode with the module's effective weights, then head probabilities."""
+    """Three-step scoring under the registry lock: tokenize, encode with the module's effective weights, head."""
     t_start = time.perf_counter_ns()
-    entry, hit = registry._acquire(task_id, backbone, pin=True)
-    compute_us = 0
-    try:
-        t_compute = time.perf_counter_ns()
+    with registry.acquire(task_id, backbone) as (entry, hit):
         tokens = tokenize(text, backbone.config)
         h = backbone.encode(tokens, entry.weights)
         label, probs = predict(entry.module.head, h)
-        compute_us = (time.perf_counter_ns() - t_compute) // 1000
-    finally:
-        registry._unpin(task_id, compute_us)
     return ScoreResult(
         task_id=task_id,
         label=label,
@@ -297,11 +283,6 @@ def score_tokens(
 
 
 # -- registry manifest file -----------------------------------------------------
-
-
-def save_registry_manifest(registry: Registry, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dict(sorted(registry.manifest.items())), fh, indent=2)
 
 
 def load_registry_manifest(path: str, capacity: int = DEFAULT_CAPACITY) -> Registry:
@@ -366,10 +347,16 @@ class StdioTransport:
 
     def run(self, handler) -> int:
         served = 0
-        for line in self.in_stream:
-            if not line.strip():
+        while line := self.in_stream.readline(MAX_REQUEST_CHARS + 1):
+            if len(line) > MAX_REQUEST_CHARS and line[-1] != "\n":
+                while line and line[-1] != "\n":  # drop the rest of the over-long line, a bounded chunk at a time
+                    line = self.in_stream.readline(MAX_REQUEST_CHARS)
+                answer = json.dumps({"error": "malformed_request"})
+            elif not line.strip():
                 continue
-            self.out_stream.write(handler(line) + "\n")
+            else:
+                answer = handler(line)
+            self.out_stream.write(answer + "\n")
             self.out_stream.flush()
             served += 1
         return served

@@ -17,8 +17,6 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .backbone import Backbone, load_backbone, tokenize
 from .data import ScoredResponse, TaskDataset, save_jsonl, split_dataset
 from .errors import BenchError, ContractError
@@ -164,13 +162,6 @@ def generate_tasks(specs: list[TaskSpec], out_dir: str | None = None):
         with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
     return datasets, manifest
-
-
-def keyword_count_classify(text: str, pools: list[list[str]]) -> int:
-    """Bag-of-keywords oracle: class whose pool covers the most tokens."""
-    words = text.split()
-    hits = [sum(1 for w in words if w in set(pool)) for pool in pools]
-    return int(np.argmax(hits))
 
 
 # -- efficiency benchmark --------------------------------------------------------

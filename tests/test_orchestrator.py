@@ -6,6 +6,7 @@ import io
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 import zlib
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scoremux import orchestrator
 from scoremux.adapters import adapter_to_bytes, effective_weights, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, tokenize
 from scoremux.errors import (
@@ -40,7 +42,6 @@ from scoremux.orchestrator import (
     load_registry_manifest,
     load_task_module,
     module_to_bytes,
-    save_registry_manifest,
     save_task_module,
     score,
     serve,
@@ -96,6 +97,46 @@ def v1_module_image(module: TaskModule) -> bytes:
         head.bias.data.astype("<f4").tobytes(), struct.pack("<QH", 0, len(fingerprint)), fingerprint,
     ])
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def save_registry_manifest(registry: Registry, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(dict(sorted(registry.manifest.items())), fh, indent=2)
+
+
+def lock_is_free(reg: Registry) -> bool:
+    """Whether another thread takes the registry lock without waiting."""
+    taken: list[bool] = []
+
+    def probe():
+        if reg._lock.acquire(blocking=False):
+            reg._lock.release()
+            taken.append(True)
+
+    t = threading.Thread(target=probe, daemon=True)
+    t.start()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    return taken == [True]
+
+
+def run_callers(targets: dict[str, object], timeout: float = 30) -> list[Exception]:
+    """Start one daemon thread per name, join each with a bound, and return what they raised."""
+    errors: list[Exception] = []
+
+    def guarded(target):
+        try:
+            target()
+        except Exception as exc:  # reported to the test, which asserts there is none
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,), name=n, daemon=True) for n, t in targets.items()]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout)
+        assert not t.is_alive(), f"caller {t.name} did not finish"
+    return errors
 
 
 def reference_lru(accesses, capacity):
@@ -354,15 +395,96 @@ class TestScore:
 
         class LockedStats(RegistryStats):
             def __setattr__(self, name, value):
-                assert reg._cond._is_owned(), f"stats.{name} written without the registry lock"
+                assert reg._lock._is_owned(), f"stats.{name} written without the registry lock"
                 super().__setattr__(name, value)
 
-        with reg._cond:
+        with reg._lock:
             reg.stats = LockedStats()
         score(reg, frozen_bb, "T00", "ein text")  # miss: load + compute
         score(reg, frozen_bb, "T00", "ein text")  # hit: compute
         assert (reg.stats.misses, reg.stats.hits) == (1, 1)
         assert reg.stats.compute_time_us >= 0
+
+
+class TestRegistryLock:
+    def test_callers_waiting_for_one_task_admit_it_once(self, module_dir):
+        # capacity 1: X holds T00 inside encode while A and B both ask for T01
+        bb = Backbone(CFG).freeze()
+        encode, entered, release = bb.encode, threading.Event(), threading.Event()
+
+        def held_encode(tokens, weights=None):
+            if threading.current_thread().name == "X":
+                entered.set()
+                assert release.wait(timeout=10)
+            return encode(tokens, weights)
+
+        bb.encode = held_encode
+        reg = fresh_registry(module_dir, capacity=1)
+
+        def once_x_is_inside(then):
+            def call():
+                assert entered.wait(timeout=10)
+                then()
+
+            return call
+
+        def release_x():
+            time.sleep(0.2)  # time for A and B to reach the registry while X holds T00
+            release.set()
+
+        assert run_callers({
+            "X": lambda: score(reg, bb, "T00", "ein text"),
+            "A": once_x_is_inside(lambda: score(reg, bb, "T01", "ein text")),
+            "B": once_x_is_inside(lambda: score(reg, bb, "T01", "ein text")),
+            "release": once_x_is_inside(release_x),
+        }) == []
+        assert reg.loaded_ids() == ["T01"]
+        stats = reg.stats  # the reference LRU over T00, T01, T01
+        assert (stats.hits, stats.misses, stats.evictions, stats.loads) == (1, 2, 1, 2)
+
+    def test_one_caller_encodes_at_a_time(self, module_dir):
+        bb = Backbone(CFG).freeze()
+        encode, count_lock = bb.encode, threading.Lock()
+        inside, most = [0], [0]
+
+        def counted_encode(tokens, weights=None):
+            with count_lock:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            try:
+                time.sleep(0.002)  # widen the window in which another caller could enter
+                return encode(tokens, weights)
+            finally:
+                with count_lock:
+                    inside[0] -= 1
+
+        bb.encode = counted_encode
+        reg = fresh_registry(module_dir, capacity=2)
+
+        def caller(k):
+            return lambda: [score(reg, bb, f"T{(k + i) % 3:02d}", "ein text") for i in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so an unguarded update would be lost
+        try:
+            assert run_callers({f"C{k}": caller(k) for k in range(4)}) == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert reg.stats.hits + reg.stats.misses == 24
+        assert lock_is_free(reg)
+
+    def test_caller_reads_registry_inside_its_block(self, module_dir, frozen_bb):
+        reg = fresh_registry(module_dir, capacity=2)
+        seen = []
+
+        def caller():
+            with reg.acquire("T00", frozen_bb) as (entry, hit):
+                seen.append((reg.loaded_ids(), hit, entry.module.task_id))
+
+        assert run_callers({"caller": caller}, timeout=10) == []
+        assert seen == [(["T00"], False, "T00")]
+        assert lock_is_free(reg)
 
 
 class TestManifestFile:
@@ -378,6 +500,11 @@ class TestManifestFile:
 class TestServe:
     def make_request(self, rid, task, text="eine antwort"):
         return json.dumps({"id": rid, "task": task, "text": text})
+
+    def padded_request(self, rid, task, length):
+        """A valid request of exactly `length` characters: the record padded with spaces before its `}`."""
+        req = self.make_request(rid, task)
+        return req[:-1] + " " * (length - len(req)) + "}"
 
     def test_protocol_echo_contract(self, module_dir, frozen_bb):
         reg = fresh_registry(module_dir)
@@ -507,7 +634,7 @@ class TestServe:
         assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
         with pytest.raises(BackboneMismatchError):
             score(reg, frozen_bb, "TOther", "eine antwort")
-        assert reg._pins == {}  # the mismatch released its pin
+        assert lock_is_free(reg)  # the mismatch released the registry lock
 
     def test_mismatched_module_takes_no_resident_slot(self, frozen_bb, tmp_path):
         bad = build_module("BAD", seed=3)
@@ -564,6 +691,63 @@ class TestServe:
         assert served == 2
         assert responses[0] == {"id": 1, "error": "internal_error"}
         assert responses[1]["id"] == 2 and responses[1]["task"] == "T01"
+
+    def test_overlong_line_is_malformed_and_next_line_scored(self, module_dir, frozen_bb, monkeypatch):
+        cap = 64
+        monkeypatch.setattr(orchestrator, "MAX_REQUEST_CHARS", cap)
+        reg = fresh_registry(module_dir)
+        lines = [
+            self.make_request(1, "T01"),
+            self.padded_request(2, "T01", 10 * cap),
+            self.padded_request(3, "T02", cap),
+            self.padded_request(4, "T02", cap + 1),
+            self.make_request(5, "T01"),
+        ]
+
+        class Recorded(io.StringIO):
+            longest = 0
+
+            def readline(self, size=-1):
+                line = super().readline(size)
+                Recorded.longest = max(Recorded.longest, len(line))
+                return line
+
+        stdout = io.StringIO()
+        served = serve(reg, frozen_bb, StdioTransport(Recorded("\n".join(lines) + "\n" + "y" * (cap + 1)), stdout))
+        docs = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        assert served == 6 and len(docs) == 6
+        assert docs[0]["id"] == 1 and docs[0]["task"] == "T01"
+        assert docs[1] == {"error": "malformed_request"}
+        assert docs[2]["id"] == 3 and docs[2]["task"] == "T02"
+        assert docs[3] == {"error": "malformed_request"}  # one character over the cap
+        assert docs[4]["id"] == 5 and docs[4]["task"] == "T01"
+        assert docs[5] == {"error": "malformed_request"}  # over the cap at EOF, no newline
+        assert Recorded.longest <= cap + 1
+
+    def test_tcp_overlong_line_keeps_connection(self, module_dir, frozen_bb, monkeypatch):
+        cap = 64
+        monkeypatch.setattr(orchestrator, "MAX_REQUEST_CHARS", cap)
+        reg = fresh_registry(module_dir)
+        transport = TcpTransport(port=0)
+        served = []
+        server = threading.Thread(target=lambda: served.append(serve(reg, frozen_bb, transport)), daemon=True)
+        server.start()
+        lines = [
+            self.make_request(1, "T01"), self.padded_request(2, "T01", 10 * cap), self.padded_request(3, "T02", cap)
+        ]
+        try:
+            with socket.create_connection(("127.0.0.1", transport.port), timeout=5) as conn:
+                conn.sendall("".join(line + "\n" for line in lines).encode())
+                with conn.makefile("r", encoding="utf-8", newline="\n") as reader:
+                    docs = [json.loads(reader.readline()) for _ in lines]
+        finally:
+            transport.stop()
+            server.join(timeout=5)
+        assert not server.is_alive()
+        assert docs[0]["id"] == 1 and docs[0]["task"] == "T01"
+        assert docs[1] == {"error": "malformed_request"}
+        assert docs[2]["id"] == 3 and docs[2]["task"] == "T02"
+        assert served == [3]
 
     def test_empty_registry_rejected(self, frozen_bb):
         with pytest.raises(ContractError):
