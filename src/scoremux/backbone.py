@@ -171,15 +171,12 @@ class Backbone:
             h.update(self.params[name].tobytes())
         return h.hexdigest()
 
-    def param_count(self, include_mlm_head: bool = True) -> int:
-        return sum(
-            rows * cols
-            for name, rows, cols in param_order(self.config)
-            if include_mlm_head or name != "mlm_head"
-        )
+    def param_count(self) -> int:
+        """Parameters a deployed scorer ships: every matrix but the MLM head, which only pretraining reads."""
+        return sum(rows * cols for name, rows, cols in param_order(self.config) if name != "mlm_head")
 
-    def param_bytes(self, include_mlm_head: bool = True) -> int:
-        return self.param_count(include_mlm_head) * self.precision.itemsize
+    def param_bytes(self) -> int:
+        return self.param_count() * self.precision.itemsize
 
     # -- forward -------------------------------------------------------------
 

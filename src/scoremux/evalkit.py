@@ -3,9 +3,9 @@
 The metrics are pure functions of label lists; the only I/O is the JSON
 eval-report document. The paired t-test's two-sided p-value comes from SciPy's
 Student t CDF (`scipy.special.stdtr`). `evaluate` scores a test split with
-the batched `orchestrator.score_tokens` pass, the same head probabilities
-that serving reports, on the module the registry admits; like serving, it
-refuses a module trained against another backbone.
+`orchestrator.score_tokens`, whose rows pass through `heads.predict` as served
+answers do, on the module the registry admits; like serving, it refuses a
+module trained against another backbone.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from scipy.special import stdtr
 from .backbone import tokenize
 from .errors import ContractError
 from .orchestrator import score_tokens
-
-EVAL_BATCH_SIZE = 32
 
 
 def _validate_labels(golds: Sequence[int], preds: Sequence[int], num_classes: int) -> None:
@@ -140,12 +138,12 @@ class EvalReport:
 
 
 def evaluate(registry, backbone, task_id: str, test_split) -> EvalReport:
-    """Score the test split in batches with the registry's module and assemble all metrics."""
+    """Score the test split with the registry's module by `score_tokens` and assemble all metrics."""
     if not test_split:
         raise ContractError("empty test split")
     module, weights = registry.ensure_loaded(task_id, backbone)
     tokens = [tokenize(item.text, backbone.config) for item in test_split]
-    preds = score_tokens(backbone, weights, module.head, tokens, EVAL_BATCH_SIZE).argmax(axis=1)
+    preds = score_tokens(backbone, weights, module.head, tokens).argmax(axis=1)
     golds = [item.score for item in test_split]
     num_classes = module.head.num_classes
     m = confusion_matrix(golds, preds, num_classes)

@@ -1,9 +1,11 @@
 """Per-task classification head: logits = h @ W^T + b, probabilities by softmax.
 
 `head_forward` is the differentiable logits op that training records on the
-tape. `class_probs` is the one function that turns hidden rows into the class
-probabilities the program reports: served answers (`predict`, its one-row
-case), validation, `evaluate` and the baseline comparison all read it.
+tape. `predict` is the one function that turns a hidden row into the class
+probabilities the program reports: served answers, validation, `evaluate` and
+the baseline comparison all read it. It takes one row at a time, because
+BLAS runs another kernel for a B-row `h @ W^T` than for one row, and the
+last bits of the logits would then depend on the batch.
 """
 
 from __future__ import annotations
@@ -72,24 +74,17 @@ def head_forward(head: ClassificationHead, h: Matrix) -> Matrix:
     return add_row(matmul(h, transpose(head.weight)), head.bias)
 
 
-def class_probs(head: ClassificationHead, h: Matrix) -> np.ndarray:
-    """B x C float64 class probabilities for a batch of hiddens (rows); not differentiable.
+def predict(head: ClassificationHead, h: Matrix) -> tuple[int, np.ndarray]:
+    """(argmax label, float64 class probabilities) for a single 1 x d hidden; not differentiable.
 
     The float32 logits are widened to float64 before the max-subtracted
-    softmax. Non-finite logits (a corrupt module) raise ContractError.
-    """
-    z = head_forward(head, h).data.astype(np.float64)
-    if not np.isfinite(z).all():
-        raise ContractError("class_probs: non-finite logits")
-    return softmax(Matrix(z)).data
-
-
-def predict(head: ClassificationHead, h: Matrix) -> tuple[int, np.ndarray]:
-    """(argmax label, probabilities) for a single hidden vector.
-
-    Ties break to the lowest class index.
+    softmax. Non-finite logits (a corrupt module) raise ContractError. Ties
+    break to the lowest class index.
     """
     if h.rows != 1:
         raise ShapeError(f"predict expects a single 1 x d hidden, got {h.shape}")
-    probs = class_probs(head, h)[0]
+    z = head_forward(head, h).data.astype(np.float64)
+    if not np.isfinite(z).all():
+        raise ContractError("predict: non-finite logits")
+    probs = softmax(Matrix(z)).data[0]
     return int(np.argmax(probs)), probs

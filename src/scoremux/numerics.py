@@ -355,7 +355,7 @@ def gelu(a: Matrix) -> Matrix:
 def softmax(v: Matrix) -> Matrix:
     """Row-wise softmax with max-subtraction for stability; not differentiable, never on a tape.
 
-    Training's loss takes logits (`cross_entropy`); `heads.class_probs` reports through this.
+    Training's loss takes logits (`cross_entropy`); `heads.predict`, its one caller, reports through this.
     """
     x = v.data
     e = np.exp(x - x.max(axis=1, keepdims=True))

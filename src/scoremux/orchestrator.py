@@ -15,8 +15,9 @@ place a module meets a backbone: it reads the module at the backbone's
 precision, refuses one trained against another backbone before it takes a
 slot, and keeps the effective weights it derives once
 (`adapters.effective_weights`). `score` answers one request; `score_tokens`
-scores a whole tokenized split in packed batches for validation and
-evaluation. Both end in `heads.class_probs`. The wire protocol is
+scores a whole tokenized split in packed encodes of `SCORE_BATCH` for
+validation and evaluation. Both pass each hidden row through `heads.predict`,
+so an answer gets the probabilities it is served with. The wire protocol is
 newline-delimited UTF-8 JSON over stdio or TCP, at most `MAX_REQUEST_CHARS`
 characters a line.
 """
@@ -47,7 +48,7 @@ from .errors import (
     ScoreMuxError,
     UnknownTaskError,
 )
-from .heads import ClassificationHead, class_probs, predict
+from .heads import ClassificationHead, predict
 from .numerics import Matrix, P32, Precision
 from .serialize import Reader, Writer
 
@@ -57,6 +58,9 @@ DEFAULT_CAPACITY = 4
 # characters of one request line before its newline: far above a real answer
 # (tokenize keeps max_seq_len tokens), far below what one line would need to exhaust memory
 MAX_REQUEST_CHARS = 1 << 20
+# answers per packed encode in `score_tokens`; a packed row keeps its single encode's bits
+# (except a `[CLS]`-only answer, which alone runs 1-row matmuls), so this sets speed, not results
+SCORE_BATCH = 32
 # module magic, version and task-id length: the adapter section opens with the task id
 _MODULE_HEADER = struct.Struct("<4sHH")
 
@@ -273,12 +277,13 @@ def score_tokens(
     weights: dict[str, Matrix] | None,
     head: ClassificationHead,
     tokens: list[TokenSeq],
-    batch_size: int,
 ) -> np.ndarray:
-    """N x C class probabilities of a tokenized split: one packed encode per batch, no tape."""
+    """N x C class probabilities of a tokenized split: packed encodes of SCORE_BATCH, no tape, `predict` per row."""
     probs = np.empty((len(tokens), head.num_classes))
-    for lo in range(0, len(tokens), batch_size):
-        probs[lo : lo + batch_size] = class_probs(head, backbone.encode(tokens[lo : lo + batch_size], weights))
+    for lo in range(0, len(tokens), SCORE_BATCH):
+        h = backbone.encode(tokens[lo : lo + SCORE_BATCH], weights).data
+        for i in range(len(h)):
+            probs[lo + i] = predict(head, Matrix(h[i : i + 1]))[1]
     return probs
 
 

@@ -10,7 +10,9 @@ stopping on validation loss, restore of the best epoch): each step records
 penalty both read its nodes. `pretrain_backbone`
 fits an unfrozen backbone on the masked-token loss; and
 `workbench.train_full_baseline` fits a backbone clone and head on
-cross-entropy. `_eval_split` scores a split with `orchestrator.score_tokens`.
+cross-entropy. `_eval_split` scores a split with `orchestrator.score_tokens`,
+so validation loss and QWK read the probabilities `score` would serve;
+`batch_size` sets the training minibatch only.
 """
 
 from __future__ import annotations
@@ -275,9 +277,9 @@ def classifier_loss(
     return total_loss(cross_entropy(logits, [y for _, y in batch]), deltas, reg_lambda)
 
 
-def _eval_split(backbone, weights, head, examples, batch_size) -> tuple[float, float]:
+def _eval_split(backbone, weights, head, examples) -> tuple[float, float]:
     """(mean CE, QWK) of a classifier with these effective weights on a tokenized split, by `score_tokens`."""
-    probs = score_tokens(backbone, weights, head, [t for t, _ in examples], batch_size)
+    probs = score_tokens(backbone, weights, head, [t for t, _ in examples])
     golds = np.array([label for _, label in examples], dtype=np.int64)
     picked = probs[np.arange(len(golds)), golds]
     loss = float(-np.log(np.maximum(picked, 1e-12)).sum()) / max(1, len(golds))
@@ -323,7 +325,7 @@ def train_task(
 
     def end_epoch(epoch: int, train_loss: float) -> bool:
         weights, _ = effective_weights(backbone, adapter)
-        val_loss, val_qwk = _eval_split(backbone, weights, head, val_examples, cfg.batch_size)
+        val_loss, val_qwk = _eval_split(backbone, weights, head, val_examples)
         epoch_stats.append(EpochStats(train_loss, val_loss, val_qwk))
         if stopper.update(epoch, val_loss):
             best_snapshot[:] = [s.get() for s in slots]

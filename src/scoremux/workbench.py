@@ -224,7 +224,7 @@ def run_benchmark(
         raise BenchError(f"checkpoint {backbone_checkpoint} does not hold the scored backbone's weights")
 
     modules = {tid: load_task_module(module_paths[tid], backbone.precision) for tid in task_ids}
-    backbone_bytes = backbone.param_bytes(include_mlm_head=False)
+    backbone_bytes = backbone.param_bytes()
     module_bytes = [modules[tid].param_bytes() for tid in task_ids]
     head_bytes = [modules[tid].head.param_bytes() for tid in task_ids]
     baseline_total = sum(backbone_bytes + hb for hb in head_bytes)
@@ -307,7 +307,7 @@ def train_full_baseline(backbone: Backbone, dataset: TaskDataset, config: TrainC
         slots, examples(splits.train), lambda batch: classifier_loss(clone, head, batch),
         cfg, Rng(cfg.seed).split("baseline"), cfg.max_epochs,
     )
-    _, agreement = _eval_split(clone, None, head, examples(splits.test), cfg.batch_size)
+    _, agreement = _eval_split(clone, None, head, examples(splits.test))
     return head, agreement
 
 

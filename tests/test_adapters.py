@@ -166,7 +166,7 @@ class TestMergeUnmerge:
 
     def test_trainable_fraction_bound(self, frozen_bb):
         ad = new_adapter("T01", CFG, rng=Rng(1))
-        assert ad.param_count() / frozen_bb.param_count(include_mlm_head=False) <= 0.05
+        assert ad.param_count() / frozen_bb.param_count() <= 0.05
 
 
 class TestAdapterFile:

@@ -277,12 +277,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("batch_size", [32, 7])
     def test_confusion_equals_per_item_score_labels(self, env, monkeypatch, batch_size):
-        from scoremux import evalkit
+        from scoremux import evalkit, orchestrator
         from scoremux.orchestrator import score
         from scoremux.workbench import TaskSpec, generate_task
 
         backbone, registry, dataset, _ = env
-        monkeypatch.setattr(evalkit, "EVAL_BATCH_SIZE", batch_size)
+        monkeypatch.setattr(orchestrator, "SCORE_BATCH", batch_size)
         # unseen answers give mixed, partly wrong labels; 40 items span two batches of 32
         unseen = generate_task(TaskSpec("TMem", num_classes=2, n_items=40, difficulty="medium", seed=4)).items
         for items in (list(dataset.items), list(unseen)):
@@ -290,6 +290,24 @@ class TestEvaluate:
             preds = [score(registry, backbone, "TMem", it.text).label for it in items]
             expected = confusion_matrix([it.score for it in items], preds, 2)
             assert report.confusion == tuple(tuple(int(x) for x in row) for row in expected)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 7, 32])
+    def test_split_rows_equal_served_probs(self, env, monkeypatch, batch_size):
+        from scoremux import orchestrator
+        from scoremux.backbone import tokenize
+        from scoremux.orchestrator import score, score_tokens
+        from scoremux.workbench import TaskSpec, generate_task
+
+        backbone, registry, dataset, _ = env
+        monkeypatch.setattr(orchestrator, "SCORE_BATCH", batch_size)
+        unseen = generate_task(TaskSpec("TMem", num_classes=2, n_items=40, difficulty="medium", seed=4)).items
+        tokens = [tokenize(it.text, backbone.config) for it in (*dataset.items, *unseen)]
+        # a [CLS]-only answer is the known exception: served alone, every layer runs 1-row matmuls
+        assert all(len(t) > 1 for t in tokens)
+        module, weights = registry.ensure_loaded("TMem", backbone)
+        rows = score_tokens(backbone, weights, module.head, tokens)
+        for it, row in zip((*dataset.items, *unseen), rows):
+            np.testing.assert_array_equal(row, score(registry, backbone, "TMem", it.text).probs)
 
     def test_unfrozen_backbone_rejected(self, env):
         from scoremux.evalkit import evaluate

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scoremux.errors import ContractError, ShapeError
-from scoremux.heads import ClassificationHead, class_probs, head_forward, new_head, predict
+from scoremux.heads import ClassificationHead, head_forward, new_head, predict
 from scoremux.numerics import Matrix, P64, Rng, Tape, matrix, sum_all
 
 
@@ -91,26 +91,31 @@ class TestPredict:
 
 
 class TestClassProbs:
+    """The class probabilities `predict` reports: the one softmax behind served, validation and eval answers."""
+
     def test_batch_rows_equal_predict_exactly(self):
-        # integer-valued weights and hiddens make every float32 logit exact in
-        # any summation order, so a batch and its single rows share the logits
+        # real float32 weights and hiddens: a row read in place from a batch of
+        # hiddens, as `score_tokens` reads it, gets the bits of the row alone
         gen = np.random.default_rng(23)
         head = ClassificationHead(
-            Matrix(gen.integers(-3, 4, (5, 64)).astype(np.float32)),
+            Matrix(gen.standard_normal((5, 64)).astype(np.float32)),
             Matrix(gen.standard_normal((1, 5)).astype(np.float32)),
         )
-        h = Matrix(gen.integers(-3, 4, (9, 64)).astype(np.float32))
-        probs = class_probs(head, h)
-        assert probs.shape == (9, 5) and probs.dtype == np.float64
+        h = gen.standard_normal((9, 64)).astype(np.float32)
+        w, b = head.weight.data.astype(np.float64), head.bias.data[0].astype(np.float64)
         for i in range(9):
-            label, row = predict(head, Matrix(h.data[i : i + 1].copy()))
-            np.testing.assert_array_equal(probs[i], row)
-            assert label == int(np.argmax(probs[i]))
+            label, row = predict(head, Matrix(h[i : i + 1]))
+            alone_label, alone = predict(head, Matrix(h[i : i + 1].copy()))
+            assert row.shape == (5,) and row.dtype == np.float64
+            np.testing.assert_array_equal(row, alone)
+            assert label == alone_label == int(np.argmax(row))
+            z = w @ h[i].astype(np.float64) + b
+            np.testing.assert_allclose(row, np.exp(z - z.max()) / np.exp(z - z.max()).sum(), rtol=1e-5)
 
     def test_uniform_on_equal_inputs(self):
-        h = Matrix.zeros(2, 4)
-        np.testing.assert_allclose(class_probs(head_with_logits([0.0, 0.0, 0.0]), h), [[1 / 3] * 3] * 2, atol=1e-12)
-        np.testing.assert_allclose(class_probs(head_with_logits([1.0, 1.0]), h), [[0.5, 0.5]] * 2, atol=1e-12)
+        h = Matrix.zeros(1, 4)
+        np.testing.assert_allclose(predict(head_with_logits([0.0, 0.0, 0.0]), h)[1], [1 / 3] * 3, atol=1e-12)
+        np.testing.assert_allclose(predict(head_with_logits([1.0, 1.0]), h)[1], [0.5, 0.5], atol=1e-12)
 
     def test_direct_evaluation_oracle(self):
         # independent exp/sum evaluation
@@ -118,25 +123,26 @@ class TestClassProbs:
         e = [math.exp(x) for x in v]
         expected = [x / sum(e) for x in e]
         np.testing.assert_allclose(expected, [0.090031, 0.244728, 0.665241], atol=1e-5)
-        np.testing.assert_allclose(class_probs(head_with_logits(v), Matrix.zeros(1, 4))[0], expected, atol=1e-12)
+        np.testing.assert_allclose(predict(head_with_logits(v), Matrix.zeros(1, 4))[1], expected, atol=1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
-            class_probs(head_with_logits([1.0, float("nan")]), Matrix.zeros(1, 4))
+            predict(head_with_logits([1.0, float("nan")]), Matrix.zeros(1, 4))
         head = head_with_logits([0.0, 0.0])
         head.weight = Matrix(np.full((2, 4), np.inf, dtype=np.float32))
         with np.errstate(invalid="ignore"), pytest.raises(ContractError):
-            class_probs(head, matrix([[1.0, 0.0, 0.0, 0.0]]))
+            predict(head, matrix([[1.0, 0.0, 0.0, 0.0]]))
 
     @given(st.lists(st.floats(min_value=-80, max_value=80), min_size=2, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one_and_preserves_argmax(self, logits):
-        out = class_probs(head_with_logits(logits), Matrix.zeros(1, 4))[0]
+        label, out = predict(head_with_logits(logits), Matrix.zeros(1, 4))
         assert abs(out.sum() - 1.0) <= 1e-12
         assert (out > 0).all()
+        assert label == int(np.argmax(out))
         top = np.sort(np.asarray(logits, dtype=np.float32))  # head bias is P32
         if top[-1] - top[-2] > 1e-9:  # gap resolvable in float64
-            assert int(np.argmax(out)) == int(np.argmax(np.asarray(logits, dtype=np.float32)))
+            assert label == int(np.argmax(np.asarray(logits, dtype=np.float32)))
 
 
 class TestValidation:

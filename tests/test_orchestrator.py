@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,7 +560,7 @@ class TestServe:
 
     def test_module_file_removed_after_register_is_load_error(self, module_dir, frozen_bb, tmp_path):
         path = tmp_path / "gone.mod"
-        path.write_bytes(open(module_dir["T03"], "rb").read())
+        path.write_bytes(Path(module_dir["T03"]).read_bytes())
         reg = fresh_registry({"T03": str(path), "T01": module_dir["T01"]})
         path.unlink()
         lines = [self.make_request(1, "T03"), self.make_request(2, "T01")]
@@ -572,7 +573,7 @@ class TestServe:
         assert reg.loaded_ids() == ["T01"]
 
     def test_corrupt_patch_dimension_is_load_error(self, module_dir, frozen_bb, tmp_path):
-        raw = bytearray(open(module_dir["T03"], "rb").read())
+        raw = bytearray(Path(module_dir["T03"]).read_bytes())
         offset = 4 + 2 + (2 + 3) + 2 + 8 + 2 + 2 + 1  # magic, version, task id, rank, alpha, count, layer, kind
         assert struct.unpack_from("<I", raw, offset)[0] == CFG.d_model
         raw[offset] ^= 0x01

@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from scoremux import orchestrator
 from scoremux.adapters import TargetKind, TargetPatch, LoraAdapter, effective_weights, new_adapter
 from scoremux.backbone import Backbone, BackboneConfig, CLS_ID, TokenSeq, save_backbone, tokenize
 from scoremux.data import ScoredResponse, TaskDataset, split_dataset
@@ -315,20 +316,25 @@ class TestTrainTask:
         assert len(report.lr_schedule) == report.stopped_epoch * math.ceil(len(ds.splits.train) / cfg.batch_size)
         val = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.val]
         weights = effective_weights(frozen, module.adapter)[0]
-        val_loss, _ = _eval_split(frozen, weights, module.head, val, cfg.batch_size)
+        val_loss, _ = _eval_split(frozen, weights, module.head, val)
         assert val_loss == report.epochs[report.best_epoch - 1].val_loss
 
-    def test_eval_split_matches_per_item_predict(self, frozen):
+    def test_eval_split_matches_per_item_predict(self, frozen, monkeypatch):
         ds = generate_task(TaskSpec("T01", 3, 150, difficulty="medium", seed=4))
         module, _ = train_task(frozen, ds, TrainConfig(learning_rate=2e-2, max_epochs=3, seed=4))
+        monkeypatch.setattr(orchestrator, "SCORE_BATCH", 7)
         examples = [(tokenize(it.text, frozen.config), it.score) for it in ds.splits.train]
         golds = [y for _, y in examples]
         weights = effective_weights(frozen, module.adapter)[0]
         per_item = [predict(module.head, frozen.encode(t, weights)) for t, _ in examples]
+        # packed encodes of 7, then `predict` per row: each row has the bits of its single encode
+        rows = orchestrator.score_tokens(frozen, weights, module.head, [t for t, _ in examples])
+        for row, (_, probs) in zip(rows, per_item):
+            np.testing.assert_array_equal(row, probs)
         ref_loss = sum(-math.log(max(float(p[y]), 1e-12)) for (_, p), y in zip(per_item, golds)) / len(golds)
-        loss, agreement = _eval_split(frozen, weights, module.head, examples, 7)
-        # batched and single-row float32 encodes differ in the last bits only
-        assert loss == pytest.approx(ref_loss, abs=1e-5)
+        loss, agreement = _eval_split(frozen, weights, module.head, examples)
+        # equal probabilities; the mean loss sums them in another order
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
         assert agreement == qwk(golds, [label for label, _ in per_item], ds.num_classes)
 
     def test_report_text_has_documented_keys(self, frozen):

@@ -165,7 +165,7 @@ class TestBenchmark:
     def test_byte_totals_exactly_shape_derived(self, tmp_path):
         bb, ckpt, paths = build_bench_env(tmp_path)
         report = run_benchmark(bb, paths, ckpt, workload=None, switches=12, warmup_discard=2)
-        backbone_params = bb.param_count(include_mlm_head=False)
+        backbone_params = bb.param_count()
         assert backbone_params == 135_040
         assert report.backbone_param_bytes == backbone_params * 4
         for i, tid in enumerate(sorted(paths)):
